@@ -50,29 +50,53 @@ SlotState SlotState::ground(int num_qubits, std::uint32_t total) {
 
 std::optional<SlotState> SlotState::from_state(const QuantumState& state,
                                                std::uint32_t max_total) {
+  constexpr double kTolerance = 1e-6;
   const auto& terms = state.terms();
   for (const Term& t : terms) {
     if (t.amplitude < 0) return std::nullopt;
   }
-  const auto m0 = static_cast<std::uint32_t>(state.cardinality());
-  for (std::uint64_t m = m0; m <= max_total; ++m) {
-    std::vector<SlotEntry> entries;
-    entries.reserve(terms.size());
-    bool ok = true;
+  std::vector<SlotEntry> entries;
+  entries.reserve(terms.size());
+  // True when every term's a^2 * m lies within kTolerance of a positive
+  // integer count and the counts sum to m; fills `entries`.
+  const auto accepts = [&](std::uint64_t m) {
+    entries.clear();
     std::uint64_t used = 0;
     for (const Term& t : terms) {
       const double exact = t.amplitude * t.amplitude * static_cast<double>(m);
       const auto count = static_cast<std::uint64_t>(std::llround(exact));
-      if (count < 1 || std::abs(exact - static_cast<double>(count)) > 1e-6) {
-        ok = false;
-        break;
+      if (count < 1 ||
+          std::abs(exact - static_cast<double>(count)) > kTolerance) {
+        return false;
       }
       used += count;
       entries.push_back(SlotEntry{t.index, static_cast<std::uint32_t>(count)});
     }
-    if (ok && used == m) {
-      return SlotState(state.num_qubits(), std::move(entries));
+    return used == m;
+  };
+  // Any accepted m gives the lightest term (squared amplitude p) a count c
+  // with |p m - c| <= kTolerance, so m lies within kTolerance / p of c / p.
+  // Walking c upward and testing only those totals, in increasing order,
+  // finds the same smallest m as testing every total, in about
+  // p * max_total steps. Widening each window by half a total absorbs the
+  // rounding of the bounds and of a^2 * m (below 1e-5 of a total for any
+  // 32-bit m).
+  double p = 1.0;
+  for (const Term& t : terms) p = std::min(p, t.amplitude * t.amplitude);
+  const auto m0 = static_cast<std::uint64_t>(state.cardinality());
+  std::uint64_t next = m0;  // smallest total not yet tested
+  for (std::uint64_t c = 1; next <= max_total; ++c) {
+    const double lo = (static_cast<double>(c) - kTolerance) / p - 0.5;
+    if (lo > static_cast<double>(max_total)) break;
+    const double hi = (static_cast<double>(c) + kTolerance) / p + 0.5;
+    const std::uint64_t first = std::max(
+        next, static_cast<std::uint64_t>(std::max(0.0, std::ceil(lo))));
+    const std::uint64_t last = std::min<std::uint64_t>(
+        max_total, static_cast<std::uint64_t>(std::floor(hi)));
+    for (std::uint64_t m = first; m <= last; ++m) {
+      if (accepts(m)) return SlotState(state.num_qubits(), std::move(entries));
     }
+    next = std::max(next, last + 1);
   }
   return std::nullopt;
 }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/cost_model.hpp"
@@ -50,25 +50,31 @@ class Engine {
   /// rotate.
   void merge_step() {
     QSP_ASSERT(terms_.size() > 1);
+    build_columns();
     const MergePlan plan = select_plan();
-    BasisIndex x1 = plan.keep;
-    BasisIndex x2 = plan.drop;
+    const BasisIndex x1 = terms_[plan.keep_pos].index;
+    const BasisIndex x2 = terms_[plan.drop_pos].index;
+
+    // Isolate the pair from the rest of the support as it stands after
+    // the unifying CNOTs below (simulated on the columns).
+    simulate_unify(plan);
+    greedy_controls(plan, x1, controls_);
 
     // Unify: make the pair differ in exactly one qubit (the pivot).
     BasisIndex dif = flip_bit(x1 ^ x2, plan.pivot);
-    const bool pivot_positive = get_bit(x2, plan.pivot) == 1;
+    const int want = get_bit(x2, plan.pivot);
     while (dif != 0) {
       const int q = std::countr_zero(dif);
       dif = flip_bit(dif, q);
-      apply_cnot(plan.pivot, pivot_positive, q);
-      x2 = flip_bit(x2, q);
+      for (TermEntry& t : terms_) {
+        if (get_bit(t.index, plan.pivot) == want) {
+          t.index = flip_bit(t.index, q);
+        }
+      }
+      gates_.push_back(Gate::cnot(plan.pivot, q, want == 1));
     }
-    QSP_ASSERT((x1 ^ x2) == (BasisIndex{1} << plan.pivot));
-
-    // Isolate the pair from the rest of the support and merge.
-    const std::vector<ControlLiteral> controls =
-        greedy_controls(support_indices(), x1, plan.pivot);
-    apply_merge(x1, x2, plan.pivot, controls);
+    sort_terms();
+    apply_merge(x1, flip_bit(x1, plan.pivot), plan.pivot, controls_);
   }
 
   /// Map the final single index to |0...0> with free X gates.
@@ -85,6 +91,14 @@ class Engine {
   }
 
  private:
+  /// A merge of the pair at support positions keep_pos/drop_pos, unified
+  /// onto keep's index and rotated about `pivot`.
+  struct MergePlan {
+    std::size_t keep_pos = 0;
+    std::size_t drop_pos = 0;
+    int pivot = 0;
+  };
+
   void sort_terms() {
     std::sort(terms_.begin(), terms_.end(),
               [](const TermEntry& a, const TermEntry& b) {
@@ -92,53 +106,99 @@ class Engine {
               });
   }
 
-  void apply_cnot(int control, bool positive, int target) {
-    const int want = positive ? 1 : 0;
-    for (TermEntry& t : terms_) {
-      if (get_bit(t.index, control) == want) {
-        t.index = flip_bit(t.index, target);
-      }
-    }
-    sort_terms();
-    gates_.push_back(Gate::cnot(control, target, positive));
-  }
-
-  double amplitude_of(BasisIndex x) const {
+  /// Support position of index `x`, or terms_.size() if absent.
+  std::size_t find(BasisIndex x) const {
     const auto it = std::lower_bound(
         terms_.begin(), terms_.end(), x,
         [](const TermEntry& t, BasisIndex v) { return t.index < v; });
-    if (it != terms_.end() && it->index == x) return it->amplitude;
-    return 0.0;
-  }
-
-  std::vector<BasisIndex> support_indices() const {
-    std::vector<BasisIndex> out;
-    out.reserve(terms_.size());
-    for (const TermEntry& t : terms_) out.push_back(t.index);
-    return out;
-  }
-
-  /// Greedy minimal control set distinguishing {x1, x1 ^ e_pivot} from the
-  /// rest of `support`.
-  std::vector<ControlLiteral> greedy_controls(
-      const std::vector<BasisIndex>& support, BasisIndex x1,
-      int pivot) const {
-    std::vector<BasisIndex> candidates;
-    const BasisIndex x2 = flip_bit(x1, pivot);
-    for (const BasisIndex y : support) {
-      if (y != x1 && y != x2) candidates.push_back(y);
+    if (it != terms_.end() && it->index == x) {
+      return static_cast<std::size_t>(it - terms_.begin());
     }
-    std::vector<ControlLiteral> controls;
-    std::vector<bool> used(static_cast<std::size_t>(n_), false);
-    used[static_cast<std::size_t>(pivot)] = true;
-    while (!candidates.empty()) {
+    return terms_.size();
+  }
+
+  double amplitude_of(BasisIndex x) const {
+    const std::size_t i = find(x);
+    return i < terms_.size() ? terms_[i].amplitude : 0.0;
+  }
+
+  // --- Bit-sliced support ------------------------------------------------
+  // Column q holds bit q of every support index, one bit per entry (entry
+  // i is bit i % 64 of word i / 64). Bits past the support are don't-care:
+  // the candidate mask of greedy_controls never has them set. cols_ holds
+  // the support; sim_ holds it as the plan under evaluation leaves it.
+
+  void build_columns() {
+    words_ = (terms_.size() + 63) / 64;
+    const std::size_t size = static_cast<std::size_t>(n_) * words_;
+    cols_.assign(size, 0);
+    sim_.resize(size);
+    cand_.resize(words_);
+    for (std::size_t i = 0; i < terms_.size(); ++i) {
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      for (BasisIndex x = terms_[i].index; x != 0; x &= x - 1) {
+        cols_[column_offset(std::countr_zero(x)) + i / 64] |= bit;
+      }
+    }
+  }
+
+  std::size_t column_offset(int q) const {
+    return static_cast<std::size_t>(q) * words_;
+  }
+
+  /// The qubits the plan's unifying CNOTs target.
+  BasisIndex unify_targets(const MergePlan& plan) const {
+    return flip_bit(terms_[plan.keep_pos].index ^ terms_[plan.drop_pos].index,
+                    plan.pivot);
+  }
+
+  /// Fill sim_ with the support after the plan's unifying CNOTs: each
+  /// fires on the entries whose pivot bit equals drop's, so a target
+  /// column is XORed with the pivot column (or its complement).
+  void simulate_unify(const MergePlan& plan) {
+    std::copy(cols_.begin(), cols_.end(), sim_.begin());
+    const std::uint64_t flip =
+        get_bit(terms_[plan.drop_pos].index, plan.pivot) == 1 ? 0 : ~0ull;
+    const std::uint64_t* pivot_col = &cols_[column_offset(plan.pivot)];
+    for (BasisIndex d = unify_targets(plan); d != 0; d &= d - 1) {
+      const std::size_t off = column_offset(std::countr_zero(d));
+      for (std::size_t w = 0; w < words_; ++w) {
+        sim_[off + w] ^= pivot_col[w] ^ flip;
+      }
+    }
+  }
+
+  /// Greedy minimal control set distinguishing the (unified) pair from the
+  /// rest of the simulated support: repeatedly take the first qubit whose
+  /// literal eliminates strictly the most remaining candidates. Returns
+  /// false, with the set unfinished, when it would need more than
+  /// `max_controls` literals.
+  bool greedy_controls(const MergePlan& plan, BasisIndex x1,
+                       std::vector<ControlLiteral>& controls,
+                       int max_controls = kMaxQubits) {
+    controls.clear();
+    std::size_t remaining = terms_.size() - 2;
+    for (std::size_t w = 0; w < words_; ++w) cand_[w] = ~0ull;
+    if (terms_.size() % 64 != 0) {
+      cand_[words_ - 1] = (std::uint64_t{1} << (terms_.size() % 64)) - 1;
+    }
+    for (const std::size_t pos : {plan.keep_pos, plan.drop_pos}) {
+      cand_[pos / 64] &= ~(std::uint64_t{1} << (pos % 64));
+    }
+    BasisIndex used = BasisIndex{1} << plan.pivot;
+    while (remaining != 0) {
+      if (static_cast<int>(controls.size()) >= max_controls) return false;
       int best_q = -1;
       std::size_t best_elim = 0;
       for (int q = 0; q < n_; ++q) {
-        if (used[static_cast<std::size_t>(q)]) continue;
+        if (get_bit(used, q) != 0) continue;
+        // A candidate is eliminated where its bit differs from x1's.
+        const std::uint64_t* col = &sim_[column_offset(q)];
+        const std::uint64_t flip = get_bit(x1, q) == 1 ? ~0ull : 0;
         std::size_t elim = 0;
-        for (const BasisIndex y : candidates) {
-          if (get_bit(y, q) != get_bit(x1, q)) ++elim;
+        for (std::size_t w = 0; w < words_; ++w) {
+          elim += static_cast<std::size_t>(
+              std::popcount(cand_[w] & (col[w] ^ flip)));
         }
         if (elim > best_elim) {
           best_elim = elim;
@@ -148,14 +208,14 @@ class Engine {
       // Progress is guaranteed: a candidate matching x1 on every qubit but
       // the pivot would be x1 or x2, which are excluded.
       QSP_ASSERT(best_q >= 0);
-      used[static_cast<std::size_t>(best_q)] = true;
-      controls.push_back(
-          ControlLiteral{best_q, get_bit(x1, best_q) == 1});
-      std::erase_if(candidates, [&](BasisIndex y) {
-        return get_bit(y, best_q) != get_bit(x1, best_q);
-      });
+      used = flip_bit(used, best_q);
+      controls.push_back(ControlLiteral{best_q, get_bit(x1, best_q) == 1});
+      const std::uint64_t* col = &sim_[column_offset(best_q)];
+      const std::uint64_t flip = get_bit(x1, best_q) == 1 ? 0 : ~0ull;
+      for (std::size_t w = 0; w < words_; ++w) cand_[w] &= col[w] ^ flip;
+      remaining -= best_elim;
     }
-    return controls;
+    return true;
   }
 
   /// Rotate the isolated pair so all mass lands on x1; removes x2.
@@ -174,13 +234,13 @@ class Engine {
     gates_.push_back(Gate::mcry(controls, pivot, theta));
 
     // Apply the rotation to every control-satisfying pair (only x1/x2 by
-    // construction, but the general update keeps the engine robust).
+    // construction, but the general update keeps the engine robust). A
+    // pair is visited once: from its low member, or from its high member
+    // when the low one is absent.
     const double co = std::cos(theta / 2);
     const double si = std::sin(theta / 2);
     const BasisIndex pbit = BasisIndex{1} << pivot;
-    std::vector<TermEntry> next;
-    next.reserve(terms_.size());
-    std::unordered_map<BasisIndex, std::pair<double, double>> pairs;
+    next_.clear();
     for (const TermEntry& t : terms_) {
       bool satisfied = true;
       for (const ControlLiteral& c : controls) {
@@ -190,63 +250,34 @@ class Engine {
         }
       }
       if (!satisfied) {
-        next.push_back(t);
+        next_.push_back(t);
         continue;
       }
-      auto& [v0, v1] = pairs[t.index & ~pbit];
-      ((t.index & pbit) == 0 ? v0 : v1) = t.amplitude;
-    }
-    for (const auto& [rest, uv] : pairs) {
-      const double w0 = co * uv.first - si * uv.second;
-      const double w1 = si * uv.first + co * uv.second;
+      const BasisIndex rest = t.index & ~pbit;
+      const bool high = rest != t.index;
+      if (high && find(rest) < terms_.size()) continue;
+      const double v0 = high ? 0.0 : t.amplitude;
+      const double v1 = high ? t.amplitude : amplitude_of(rest | pbit);
+      const double w0 = co * v0 - si * v1;
+      const double w1 = si * v0 + co * v1;
       if (std::abs(w0) > kZeroAmplitude) {
-        next.push_back(TermEntry{rest, w0});
+        next_.push_back(TermEntry{rest, w0});
       }
       if (std::abs(w1) > kZeroAmplitude) {
-        next.push_back(TermEntry{rest | pbit, w1});
+        next_.push_back(TermEntry{rest | pbit, w1});
       }
     }
-    terms_ = std::move(next);
+    terms_.swap(next_);
     sort_terms();
   }
 
-  struct MergePlan {
-    BasisIndex keep = 0;
-    BasisIndex drop = 0;
-    int pivot = 0;
-    std::int64_t cost = 0;
-  };
-
-  /// Exact cost of executing a (keep, drop, pivot) plan: simulate the
-  /// unifying CNOTs on the support, then size the greedy control set.
-  std::int64_t plan_cost(BasisIndex keep, BasisIndex drop,
-                         int pivot) const {
-    std::vector<BasisIndex> support = support_indices();
-    BasisIndex dif = flip_bit(keep ^ drop, pivot);
-    const int want = get_bit(drop, pivot);
-    const int dist = popcount(dif);
-    while (dif != 0) {
-      const int q = std::countr_zero(dif);
-      dif = flip_bit(dif, q);
-      for (BasisIndex& y : support) {
-        if (get_bit(y, pivot) == want) y = flip_bit(y, q);
-      }
-    }
-    const auto controls = greedy_controls(support, keep, pivot);
-    return dist +
-           rotation_cost(static_cast<int>(controls.size()));
+  MergePlan default_plan(std::size_t i, std::size_t j) const {
+    // Positions follow index order, so the lower position keeps.
+    return MergePlan{std::min(i, j), std::max(i, j),
+                     std::countr_zero(terms_[i].index ^ terms_[j].index)};
   }
 
-  MergePlan default_plan(BasisIndex a, BasisIndex b) const {
-    MergePlan plan;
-    plan.keep = std::min(a, b);
-    plan.drop = std::max(a, b);
-    plan.pivot = std::countr_zero(a ^ b);
-    plan.cost = -1;  // not evaluated
-    return plan;
-  }
-
-  MergePlan select_plan() const {
+  MergePlan select_plan() {
     if (options_.strategy == MFlowOptions::PairStrategy::kPrefixAdjacent) {
       // Deepest shared prefix == smallest XOR among sorted neighbours.
       BasisIndex best_xor = ~BasisIndex{0};
@@ -258,23 +289,21 @@ class Engine {
           best_i = i;
         }
       }
-      return default_plan(terms_[best_i].index, terms_[best_i + 1].index);
+      return default_plan(best_i, best_i + 1);
     }
 
-    // Collect minimum-Hamming-distance candidate pairs. Distance-1 pairs
-    // are found in O(m n) via a hash set; otherwise fall back to a scan.
-    std::vector<std::pair<BasisIndex, BasisIndex>> candidates;
-    std::unordered_map<BasisIndex, std::size_t> where;
-    where.reserve(terms_.size() * 2);
+    // Collect minimum-Hamming-distance candidate pairs (support
+    // positions). Distance-1 pairs are found in O(m n log m) by lookups on
+    // the sorted support; otherwise fall back to a scan.
+    std::vector<std::pair<std::size_t, std::size_t>>& candidates =
+        candidates_;
+    candidates.clear();
     for (std::size_t i = 0; i < terms_.size(); ++i) {
-      where.emplace(terms_[i].index, i);
-    }
-    for (const TermEntry& t : terms_) {
       for (int q = 0; q < n_; ++q) {
-        const BasisIndex y = flip_bit(t.index, q);
-        if (y > t.index && where.count(y) != 0) {
-          candidates.emplace_back(t.index, y);
-        }
+        const BasisIndex y = flip_bit(terms_[i].index, q);
+        if (y < terms_[i].index) continue;
+        const std::size_t j = find(y);
+        if (j < terms_.size()) candidates.emplace_back(i, j);
       }
     }
     if (candidates.empty()) {
@@ -286,59 +315,79 @@ class Engine {
             best = d;
             candidates.clear();
           }
-          if (d == best) {
-            candidates.emplace_back(terms_[i].index, terms_[j].index);
-          }
+          if (d == best) candidates.emplace_back(i, j);
         }
       }
     }
     QSP_ASSERT(!candidates.empty());
+    const auto [i0, j0] = candidates.front();
     if (options_.strategy == MFlowOptions::PairStrategy::kGreedyFirst) {
-      return default_plan(candidates.front().first,
-                          candidates.front().second);
+      return default_plan(i0, j0);
     }
     // Cost-aware selection also considers pairs one above the minimum
     // distance: the extra unifying CNOT is sometimes far cheaper than a
     // large distinguishing control set.
     {
-      const int base = hamming(candidates.front().first,
-                               candidates.front().second);
+      const int base = hamming(terms_[i0].index, terms_[j0].index);
       const std::size_t cap = candidates.size() + 8;
       for (std::size_t i = 0; i < terms_.size() && candidates.size() < cap;
            ++i) {
         for (std::size_t j = i + 1;
              j < terms_.size() && candidates.size() < cap; ++j) {
           if (hamming(terms_[i].index, terms_[j].index) == base + 1) {
-            candidates.emplace_back(terms_[i].index, terms_[j].index);
+            candidates.emplace_back(i, j);
           }
         }
       }
     }
-    // kCheapest: evaluate a bounded number of candidate pairs over both
-    // merge orientations and every pivot choice.
+    // kCheapest: evaluate a bounded number of candidate pairs over every
+    // pivot choice; the first strictly cheapest plan wins. Only the
+    // keep-a orientation of a pair (a, b) is evaluated: keeping b at the
+    // same pivot costs exactly as much. Its unified support is this one's
+    // XORed with D = a ^ b ^ e_pivot, and it isolates the pair
+    // {b, b ^ e_pivot} = {a ^ D, a ^ e_pivot ^ D}, so every elimination
+    // count of the greedy control search is the same. Being evaluated
+    // later, it could never be strictly cheaper.
     const std::size_t limit = std::min<std::size_t>(
         candidates.size(),
         static_cast<std::size_t>(std::max(1, options_.cheapest_candidates)));
-    MergePlan best_plan = default_plan(candidates.front().first,
-                                       candidates.front().second);
+    MergePlan best_plan = default_plan(i0, j0);
     std::int64_t best_cost = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t i = 0; i < limit; ++i) {
-      const auto [a, b] = candidates[i];
-      for (const auto& [keep, drop] :
-           {std::pair{a, b}, std::pair{b, a}}) {
-        BasisIndex dif = keep ^ drop;
-        while (dif != 0) {
-          const int pivot = std::countr_zero(dif);
-          dif = flip_bit(dif, pivot);
-          const std::int64_t cost = plan_cost(keep, drop, pivot);
-          if (cost < best_cost) {
-            best_cost = cost;
-            best_plan = MergePlan{keep, drop, pivot, cost};
-          }
+    for (std::size_t c = 0; c < limit; ++c) {
+      const auto [keep, drop] = candidates[c];
+      BasisIndex dif = terms_[keep].index ^ terms_[drop].index;
+      while (dif != 0) {
+        const int pivot = std::countr_zero(dif);
+        dif = flip_bit(dif, pivot);
+        const MergePlan plan{keep, drop, pivot};
+        const std::optional<std::int64_t> cost = plan_cost(plan, best_cost);
+        if (cost.has_value() && *cost < best_cost) {
+          best_cost = *cost;
+          best_plan = plan;
         }
       }
     }
     return best_plan;
+  }
+
+  /// Exact cost of executing `plan`: the unifying CNOTs plus the rotation
+  /// under its greedy control set, or nullopt once the cost provably
+  /// reaches `bound` (rotation_cost grows with the control count).
+  std::optional<std::int64_t> plan_cost(const MergePlan& plan,
+                                        std::int64_t bound) {
+    const std::int64_t dist = popcount(unify_targets(plan));
+    // The largest control count that still undercuts the bound.
+    int max_controls = -1;
+    while (max_controls < n_ &&
+           dist + rotation_cost(max_controls + 1) < bound) {
+      ++max_controls;
+    }
+    if (max_controls < 0) return std::nullopt;
+    simulate_unify(plan);
+    const bool complete = greedy_controls(plan, terms_[plan.keep_pos].index,
+                                          plan_controls_, max_controls);
+    if (!complete) return std::nullopt;
+    return dist + rotation_cost(static_cast<int>(plan_controls_.size()));
   }
 
   int n_;
@@ -346,6 +395,15 @@ class Engine {
   Deadline deadline_;
   std::vector<TermEntry> terms_;
   std::vector<Gate> gates_;
+  // Per-step scratch, kept across steps to reuse the allocations.
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> cols_;
+  std::vector<std::uint64_t> sim_;
+  std::vector<std::uint64_t> cand_;
+  std::vector<std::pair<std::size_t, std::size_t>> candidates_;
+  std::vector<ControlLiteral> controls_;
+  std::vector<ControlLiteral> plan_controls_;
+  std::vector<TermEntry> next_;
 };
 
 }  // namespace

@@ -36,7 +36,6 @@ class UniformStateProperty : public ::testing::TestWithParam<Params> {
 /// Every arc's slot semantics must equal its gate's unitary action.
 TEST_P(UniformStateProperty, MoveGateSemanticsAgree) {
   const QuantumState state = target();
-  if (state.num_qubits() > 6) GTEST_SKIP() << "simulation size";
   const SlotState slot = *SlotState::from_state(state);
   MoveGenOptions options;
   options.include_zero_cost = true;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"
@@ -134,6 +138,154 @@ TEST(SlotState, RandomUniformRoundTrip) {
     EXPECT_TRUE(slot->to_state().approx_equal(s));
     EXPECT_EQ(slot->total(), static_cast<std::uint64_t>(m));
   }
+}
+
+// --- from_state differential test -------------------------------------------
+// The linear scan over every total m that from_state replaced, kept as the
+// reference: the per-count walk must find the same smallest total.
+std::optional<SlotState> from_state_linear_scan(const QuantumState& state,
+                                                std::uint32_t max_total) {
+  const auto& terms = state.terms();
+  for (const Term& t : terms) {
+    if (t.amplitude < 0) return std::nullopt;
+  }
+  const auto m0 = static_cast<std::uint32_t>(state.cardinality());
+  for (std::uint64_t m = m0; m <= max_total; ++m) {
+    std::vector<SlotEntry> entries;
+    bool ok = true;
+    std::uint64_t used = 0;
+    for (const Term& t : terms) {
+      const double exact = t.amplitude * t.amplitude * static_cast<double>(m);
+      const auto count = static_cast<std::uint64_t>(std::llround(exact));
+      if (count < 1 || std::abs(exact - static_cast<double>(count)) > 1e-6) {
+        ok = false;
+        break;
+      }
+      used += count;
+      entries.push_back(SlotEntry{t.index, static_cast<std::uint32_t>(count)});
+    }
+    if (ok && used == m) {
+      return SlotState(state.num_qubits(), std::move(entries));
+    }
+  }
+  return std::nullopt;
+}
+
+/// The state with squared amplitudes counts[i] / sum(counts) on distinct
+/// random indices of n qubits.
+QuantumState state_from_counts(int n, const std::vector<std::uint64_t>& counts,
+                               Rng& rng) {
+  const std::vector<std::uint64_t> idx =
+      rng.sample_distinct(std::uint64_t{1} << n, counts.size());
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : counts) total += c;
+  std::vector<Term> terms;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    terms.push_back(Term{static_cast<BasisIndex>(idx[i]),
+                         std::sqrt(static_cast<double>(counts[i]) /
+                                   static_cast<double>(total))});
+  }
+  return QuantumState(n, std::move(terms));
+}
+
+void expect_matches_linear_scan(const QuantumState& s,
+                                std::uint32_t max_total) {
+  const auto fast = SlotState::from_state(s, max_total);
+  const auto ref = from_state_linear_scan(s, max_total);
+  ASSERT_EQ(fast.has_value(), ref.has_value())
+      << s.to_string() << " max_total " << max_total;
+  if (ref.has_value()) {
+    EXPECT_EQ(fast->total(), ref->total()) << s.to_string();
+    EXPECT_EQ(*fast, *ref) << s.to_string();
+  }
+}
+
+TEST(SlotStateFromState, MatchesLinearScanOnUniformStates) {
+  Rng rng(301);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 3 + static_cast<int>(rng.next_below(8));
+    const int m = 1 + static_cast<int>(rng.next_below(std::min(40, 1 << n)));
+    expect_matches_linear_scan(make_random_uniform(n, m, rng), 1u << 20);
+  }
+}
+
+TEST(SlotStateFromState, MatchesLinearScanOnMergedCounts) {
+  Rng rng(302);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 4 + static_cast<int>(rng.next_below(6));
+    const std::size_t k = 2 + rng.next_below(8);
+    std::vector<std::uint64_t> counts;
+    // Common factors make the smallest total a proper divisor of the sum.
+    const std::uint64_t scale = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < k; ++i) {
+      counts.push_back(scale * (1 + rng.next_below(50)));
+    }
+    expect_matches_linear_scan(state_from_counts(n, counts, rng), 1u << 20);
+  }
+}
+
+TEST(SlotStateFromState, MatchesLinearScanOnIrrationalStates) {
+  Rng rng(303);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int n = 3 + static_cast<int>(rng.next_below(6));
+    const int m = 2 + static_cast<int>(rng.next_below(6));
+    expect_matches_linear_scan(make_random_real(n, m, rng, false), 1u << 14);
+  }
+  // Two at the default budget: the full walk finds nothing either.
+  for (int trial = 0; trial < 2; ++trial) {
+    expect_matches_linear_scan(make_random_real(6, 3, rng, false), 1u << 20);
+  }
+}
+
+TEST(SlotStateFromState, MatchesLinearScanOnVeryLightTerms) {
+  // a^2 < 2e-6: the 1e-6 tolerance window of one count spans several
+  // totals, so the walk tests more than one total per count.
+  Rng rng(304);
+  for (const std::uint64_t heavy :
+       {std::uint64_t{999'999}, std::uint64_t{1'999'999},
+        std::uint64_t{4'999'999}, std::uint64_t{2'500'000}}) {
+    expect_matches_linear_scan(state_from_counts(5, {1, heavy}, rng), 1u << 23);
+    expect_matches_linear_scan(state_from_counts(5, {1, 2, heavy}, rng),
+                               1u << 23);
+  }
+  // Perturbed off the rational grid.
+  const QuantumState near(3, {Term{0, std::sqrt(1.3e-6)}, Term{5, 1.0}});
+  expect_matches_linear_scan(near, 1u << 23);
+}
+
+TEST(SlotStateFromState, RejectsNegativeAmplitudesLikeLinearScan) {
+  Rng rng(305);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<Term> terms = make_random_uniform(5, 6, rng).terms();
+    terms[rng.next_below(terms.size())].amplitude *= -1.0;
+    const QuantumState s(5, std::move(terms));
+    EXPECT_FALSE(SlotState::from_state(s).has_value());
+    expect_matches_linear_scan(s, 1u << 10);
+  }
+}
+
+TEST(SlotStateFromState, MaxTotalEdges) {
+  Rng rng(306);
+  for (const std::vector<std::uint64_t>& counts :
+       {std::vector<std::uint64_t>{1, 2, 4}, std::vector<std::uint64_t>{3, 5},
+        std::vector<std::uint64_t>{1, 1, 1, 1, 9}}) {
+    const QuantumState s = state_from_counts(4, counts, rng);
+    std::uint64_t sum = 0;
+    for (const std::uint64_t c : counts) sum += c;
+    const auto total = static_cast<std::uint32_t>(sum);
+    // First hit exactly at max_total.
+    const auto hit = SlotState::from_state(s, total);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->total(), sum);
+    expect_matches_linear_scan(s, total);
+    // No hit at or below max_total.
+    EXPECT_FALSE(SlotState::from_state(s, total - 1).has_value());
+    expect_matches_linear_scan(s, total - 1);
+  }
+  // max_total below the cardinality: nothing to test.
+  const QuantumState uniform = make_random_uniform(4, 5, rng);
+  EXPECT_FALSE(SlotState::from_state(uniform, 4).has_value());
+  expect_matches_linear_scan(uniform, 4);
 }
 
 }  // namespace

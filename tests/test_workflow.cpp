@@ -327,8 +327,11 @@ TEST(Workflow, TimedOutReported) {
   options.time_budget_seconds = 1e-9;
   const Solver solver(options);
   const WorkflowResult res = solver.prepare(target);
-  // Sparse path (14*128 < 2^14): the reduction must hit the deadline.
-  EXPECT_TRUE(res.timed_out || res.found);
+  // Sparse path (14*128 < 2^14): the state is far above the exact
+  // thresholds, so the m-flow reduction must hit the deadline.
+  EXPECT_TRUE(res.sparse_path);
+  EXPECT_TRUE(res.timed_out);
+  EXPECT_FALSE(res.found);
 }
 
 TEST(Workflow, TimeBudgetAbortsRunawayKernelSearch) {
