@@ -71,9 +71,12 @@ SynthesisResult AStarSynthesizer::synthesize(const SlotState& target) const {
       options_.routed_heuristic ? options_.coupling.get() : nullptr);
   auto g_of = [&](std::int64_t id) { return arena.node(id).g; };
 
+  // Nothing with f >= bound is ever queued, so the open list running dry
+  // is the "cannot beat the bound" stop: its minimum f reached the bound.
+  const std::int64_t bound = options_.cost_bound;
   const std::int64_t root_h = h_of(target);
   arena.add_root(canonical_key(target, level), target, root_h);
-  open.push(root_h, root_h, 0, 0);
+  if (root_h < bound) open.push(root_h, root_h, 0, 0);
 
   std::int64_t goal_id = -1;
   while (!budget.exhausted(result.stats.nodes_generated)) {
@@ -99,7 +102,7 @@ SynthesisResult AStarSynthesizer::synthesize(const SlotState& target) const {
       const std::int64_t g2 = g + mv.cost;
       CanonicalKey key = canonical_key(child, level);
       relax_into_open(arena, open, std::move(key), std::move(child), g2,
-                      top->id, mv, h_of);
+                      top->id, mv, h_of, bound);
     }
   }
 
@@ -113,6 +116,9 @@ SynthesisResult AStarSynthesizer::synthesize(const SlotState& target) const {
   result.stats.budget_exhausted =
       !result.stats.completed &&
       budget.exhausted(result.stats.nodes_generated);
+  result.stats.bounded_out = !result.stats.completed &&
+                             !result.stats.budget_exhausted &&
+                             bound != kNoCostBound;
   if (goal_id >= 0) {
     result.found = true;
     result.optimal = arcs_exhaustive;

@@ -6,6 +6,7 @@
 // search completes (admissible heuristic + node reopening).
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "arch/coupling.hpp"
@@ -19,6 +20,11 @@
 namespace qsp {
 
 class SearchCache;
+
+/// SearchOptions::cost_bound / BeamOptions::cost_bound value meaning "no
+/// bound": the kernels then behave exactly as without the option.
+inline constexpr std::int64_t kNoCostBound =
+    std::numeric_limits<std::int64_t>::max();
 
 struct SearchOptions {
   HeuristicMode heuristic = HeuristicMode::kComponent;
@@ -57,6 +63,14 @@ struct SearchOptions {
   /// back into it. nullptr = no caching (the default; all one-shot paths
   /// are unchanged).
   std::shared_ptr<SearchCache> cache;
+  /// Exclusive upper bound on the CNOT cost worth finding: the caller
+  /// already holds a circuit of this cost, so only a strictly cheaper
+  /// preparation is useful. The search prunes every node with
+  /// f = g + h >= cost_bound (sound: h is admissible) and stops with
+  /// SearchStats::bounded_out once nothing under the bound remains. A
+  /// goal found under the bound is still the certified optimum. A cache
+  /// hit is returned as is, whatever its cost.
+  std::int64_t cost_bound = kNoCostBound;
 };
 
 struct SearchStats {
@@ -89,6 +103,12 @@ struct SearchStats {
   /// budget-truncated result — which might improve with more budget —
   /// from a genuinely finished descent or an exhausted search space.
   bool budget_exhausted = false;
+  /// True if the search ended because nothing under its cost bound
+  /// (SearchOptions::cost_bound, BeamOptions::cost_bound) remained: no
+  /// preparation cheaper than the bound exists in the kernel's arc set
+  /// (A*/HDA*), or none survived the beam's pruning. `found` is false and
+  /// `budget_exhausted` stays false: the search finished.
+  bool bounded_out = false;
 };
 
 struct SynthesisResult {

@@ -77,11 +77,12 @@ SynthesisResult BeamSynthesizer::synthesize(const SlotState& target) const {
   // Best goal found anywhere, not just inside the beam: the admissible h
   // underestimates the remaining cost, so a finished state (h = 0, large
   // g) often ranks behind unfinished ones and would be truncated away if
-  // goals were only recognized within the surviving beam.
+  // goals were only recognized within the surviving beam. The caller's
+  // cost bound is the initial incumbent cost, with no goal node.
   std::int64_t goal_id = -1;
-  std::int64_t goal_g = kInfiniteCost;
+  std::int64_t goal_g = options_.cost_bound;
 
-  if (free_reducible(target, level)) {
+  if (free_reducible(target, level) && goal_g > 0) {
     goal_id = 0;
     goal_g = 0;
   }
@@ -171,11 +172,9 @@ SynthesisResult BeamSynthesizer::synthesize(const SlotState& target) const {
       candidates.resize(static_cast<std::size_t>(options_.beam_width));
     }
     // Keep only states that can still beat the incumbent (h admissible).
-    if (goal_id >= 0) {
-      std::erase_if(candidates, [&](const BeamCandidate& c) {
-        return c.g + c.h >= goal_g;
-      });
-    }
+    std::erase_if(candidates, [&](const BeamCandidate& c) {
+      return c.g + c.h >= goal_g;
+    });
     beam.clear();
     beam.reserve(candidates.size());
     for (const BeamCandidate& c : candidates) beam.push_back(c.id);
@@ -185,6 +184,9 @@ SynthesisResult BeamSynthesizer::synthesize(const SlotState& target) const {
   result.stats.arena_blocks = nodes.blocks();
   result.stats.arena_bytes_peak = nodes.bytes_peak();
   result.stats.seconds = timer.seconds();
+  result.stats.bounded_out = goal_id < 0 && beam.empty() &&
+                             !result.stats.budget_exhausted &&
+                             options_.cost_bound != kNoCostBound;
   if (goal_id >= 0) {
     result.found = true;
     result.optimal = false;  // beam search gives no optimality certificate

@@ -41,6 +41,12 @@ struct BeamOptions {
   /// consults it — a cached certified-optimal circuit beats any beam
   /// descent — but never populates it: beam results carry no certificate.
   std::shared_ptr<SearchCache> cache;
+  /// Exclusive upper bound on the CNOT cost worth finding (see
+  /// SearchOptions::cost_bound). It seeds the incumbent goal cost, so the
+  /// existing `g2 >= incumbent` and `g + h >= incumbent` pruning applies
+  /// from the first level; serial and parallel descents stay
+  /// bit-identical under any bound.
+  std::int64_t cost_bound = kNoCostBound;
 };
 
 class BeamSynthesizer {

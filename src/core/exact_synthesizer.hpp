@@ -12,7 +12,9 @@ namespace qsp {
 struct ExactSynthesisOptions {
   SearchOptions astar;
   BeamOptions beam;
-  /// Fall back to beam search when A* exceeds its budget.
+  /// Fall back to beam search when A* exceeds its budget. Skipped when A*
+  /// bounded out under its cost bound (SearchStats::bounded_out) and the
+  /// beam's arcs are a subset of A*'s: the beam cannot beat the bound then.
   bool enable_beam_fallback = true;
   /// Overall wall-clock budget for the exact tail (0 = unlimited). Wired
   /// into every nested search's SearchBudget: A* gets at most the

@@ -70,7 +70,12 @@ class HdaStar {
             options.coupling.get(), level_)),
         budget_(options.time_budget_seconds, options.node_budget),
         num_shards_(resolve_num_threads(options.num_threads)),
-        shards_(static_cast<std::size_t>(num_shards_)) {}
+        shards_(static_cast<std::size_t>(num_shards_)) {
+    // A caller's cost bound is an incumbent without a goal node: nothing
+    // with f >= bound is expanded, and the usual termination test
+    // certifies that no cheaper goal exists.
+    shared_.incumbent_g.store(options.cost_bound);
+  }
 
   SynthesisResult run() {
     const Timer timer;
@@ -113,6 +118,9 @@ class HdaStar {
     result.stats.completed =
         !shared_.aborted.load() && goal != SearchNode::kNoParent;
     result.stats.budget_exhausted = shared_.aborted.load();
+    result.stats.bounded_out = !shared_.aborted.load() &&
+                               goal == SearchNode::kNoParent &&
+                               options_.cost_bound != kNoCostBound;
 
     if (goal != SearchNode::kNoParent) {
       result.found = true;

@@ -125,7 +125,10 @@ class ParallelBeam {
                                       SearchNode::kNoParent, Move{}});
     const std::int64_t root_gid = make_shard_gid(root_shard, 0);
 
-    const bool root_is_goal = free_reducible(target_, level_);
+    // The caller's cost bound is the initial incumbent cost (no goal
+    // node), exactly as in the serial descent.
+    goal_g_ = options_.cost_bound;
+    const bool root_is_goal = free_reducible(target_, level_) && goal_g_ > 0;
     if (root_is_goal) {
       goal_gid_ = root_gid;
       goal_g_ = 0;
@@ -157,6 +160,9 @@ class ParallelBeam {
       result.stats.arena_bytes_peak += shard.nodes.bytes_peak();
     }
     result.stats.budget_exhausted = budget_exhausted_.load();
+    result.stats.bounded_out = goal_gid_ < 0 && beam_.empty() &&
+                               !result.stats.budget_exhausted &&
+                               options_.cost_bound != kNoCostBound;
     result.stats.seconds = timer.seconds();
     if (goal_gid_ >= 0) {
       result.found = true;
@@ -361,11 +367,9 @@ class ParallelBeam {
       merged.resize(static_cast<std::size_t>(options_.beam_width));
     }
     // Keep only states that can still beat the incumbent (h admissible).
-    if (goal_gid_ >= 0) {
-      std::erase_if(merged, [&](const BeamCandidate& c) {
-        return c.g + c.h >= goal_g_;
-      });
-    }
+    std::erase_if(merged, [&](const BeamCandidate& c) {
+      return c.g + c.h >= goal_g_;
+    });
     beam_.clear();
     beam_.reserve(merged.size());
     for (const BeamCandidate& c : merged) beam_.push_back(c.id);

@@ -333,16 +333,19 @@ class OpenQueue {
 /// and, when the class is new or rebound cheaper, (re)enter it into the
 /// open list under f = g + h. Every A*-family consumer (serial kernel,
 /// HDA* mail drain, HDA* local expansion) must go through this so the
-/// g-at-push staleness contract stays in one place.
+/// g-at-push staleness contract stays in one place. Entries with
+/// f >= `bound` are recorded but never queued: with an admissible h they
+/// cannot lead to a goal cheaper than the bound.
 template <class HOf>
 void relax_into_open(ClassedArena& arena, OpenQueue& open,
                      CanonicalKey&& key, SlotState&& child, std::int64_t g2,
-                     std::int64_t parent, const Move& via, HOf&& h_of) {
+                     std::int64_t parent, const Move& via, HOf&& h_of,
+                     std::int64_t bound = kInfiniteCost) {
   const ClassedArena::Relaxed relaxed =
       arena.relax(std::move(key), std::move(child), g2, parent, via, h_of);
   if (relaxed.improved) {
     const std::int64_t h = arena.node(relaxed.id).h;
-    open.push(g2 + h, h, relaxed.id, g2);
+    if (g2 + h < bound) open.push(g2 + h, h, relaxed.id, g2);
   }
 }
 

@@ -38,12 +38,13 @@ Solver::Solver(WorkflowOptions options) : options_(std::move(options)) {
 Circuit Solver::prepare_via_exact_tail(const QuantumState& reduced,
                                        bool* used_exact,
                                        bool* budget_exhausted) const {
-  return exact_tail(reduced, used_exact, budget_exhausted, Deadline(0.0));
+  return exact_tail(reduced, used_exact, budget_exhausted, Deadline(0.0),
+                    kNoCostBound);
 }
 
 Circuit Solver::exact_tail(const QuantumState& reduced, bool* used_exact,
-                           bool* budget_exhausted,
-                           const Deadline& deadline) const {
+                           bool* budget_exhausted, const Deadline& deadline,
+                           std::int64_t cost_bound) const {
   if (used_exact != nullptr) *used_exact = false;
   const QuantumState target = normalize_global_sign(reduced);
   const CouplingGraph* device = options_.coupling.get();
@@ -132,6 +133,13 @@ Circuit Solver::exact_tail(const QuantumState& reduced, bool* used_exact,
     // reduction fallback below still returns a circuit.
     exact_options.time_budget_seconds =
         clamp_budget(exact_options.time_budget_seconds, deadline);
+    // The peel gates are X flips and uncontrolled Ry merges, free of
+    // CNOTs, so the bound on this circuit's lowered count bounds the
+    // kernel's CNOT cost directly.
+    exact_options.astar.cost_bound =
+        std::min(exact_options.astar.cost_bound, cost_bound);
+    exact_options.beam.cost_bound =
+        std::min(exact_options.beam.cost_bound, cost_bound);
     const ExactSynthesizer exact(exact_options);
     const SynthesisResult res = exact.synthesize(narrow);
     if (budget_exhausted != nullptr && res.stats.budget_exhausted) {
@@ -220,6 +228,17 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
     }
     return lowered_cnot_count(route_circuit(circuit, *device, lowering));
   };
+  // Incumbent bound for an exact tail that competes with a circuit of
+  // selection cost `cost`: the tail is only kept if it is strictly
+  // cheaper, so its searches may stop once nothing cheaper remains. Only
+  // coupling-blind: there the selection cost is the plain lowered count,
+  // which equals the kernel's CNOT cost and adds over Circuit::append. A
+  // routed count is neither, so device runs search unbounded.
+  const auto incumbent_bound = [&](std::int64_t cost) {
+    return device == nullptr ? cost : kNoCostBound;
+  };
+  LoweringOptions elide;
+  elide.elide_zero_rotations = true;
   const auto m = static_cast<std::uint64_t>(target.cardinality());
   result.sparse_path =
       static_cast<std::uint64_t>(n) * m < (std::uint64_t{1} << n);
@@ -242,29 +261,39 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
   if (fits_thresholds(target)) {
     result.circuit = routed_onto_device(
         exact_tail(target, &result.used_exact_tail,
-                   &result.budget_exhausted, deadline));
+                   &result.budget_exhausted, deadline, kNoCostBound));
     result.found = true;
     return result;
   }
 
-  auto sparse_prepare = [&](bool* used_exact) -> std::optional<Circuit> {
+  // `competitor` is the selection cost the returned circuit must beat
+  // (kNoCostBound: none). The unreduction gates are paid either way, so
+  // the exact tail's bound is what they leave over.
+  auto sparse_prepare = [&](bool* used_exact, std::int64_t competitor)
+      -> std::optional<Circuit> {
     MFlowOptions mflow = options_.mflow;
     mflow.time_budget_seconds =
         clamp_budget(mflow.time_budget_seconds, deadline);
     const MFlowReduction reduction =
         mflow_reduce(target, fits_thresholds, mflow);
     if (reduction.timed_out) return std::nullopt;
-    Circuit circuit = exact_tail(reduction.reduced, used_exact,
-                                 &result.budget_exhausted, deadline);
     Circuit forward(n);
     for (const Gate& g : reduction.forward_gates) forward.append(g);
-    circuit.append(forward.adjoint());
+    const Circuit unreduce = forward.adjoint();
+    const std::int64_t tail_bound =
+        competitor == kNoCostBound
+            ? kNoCostBound
+            : competitor - selection_cost(unreduce, elide);
+    Circuit circuit = exact_tail(reduction.reduced, used_exact,
+                                 &result.budget_exhausted, deadline,
+                                 tail_bound);
+    circuit.append(unreduce);
     return circuit;
   };
 
   if (result.sparse_path) {
     // Sparse: cardinality reduction until the compressed state fits.
-    auto circuit = sparse_prepare(&result.used_exact_tail);
+    auto circuit = sparse_prepare(&result.used_exact_tail, kNoCostBound);
     if (!circuit.has_value()) {
       result.timed_out = true;
       return result;
@@ -288,8 +317,6 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
     return result;
   }
   const QuantumState marginal = nflow_marginal(target, t);
-  LoweringOptions elide;
-  elide.elide_zero_rotations = true;
   bool used_exact = false;
   Circuit tail = nflow_prepare(marginal);
   // Count-heavy marginals are generic positive states where the stages
@@ -299,10 +326,11 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
   if (marginal_slots.has_value() &&
       marginal_slots->total() <= options_.dense_tail_total_cap) {
     bool exact_used = false;
+    const std::int64_t tail_cost = selection_cost(tail, elide);
     Circuit exact_marginal =
-        exact_tail(marginal, &exact_used, &result.budget_exhausted, deadline);
-    if (exact_used && selection_cost(exact_marginal, elide) <
-                          selection_cost(tail, elide)) {
+        exact_tail(marginal, &exact_used, &result.budget_exhausted, deadline,
+                   incumbent_bound(tail_cost));
+    if (exact_used && selection_cost(exact_marginal, elide) < tail_cost) {
       tail = std::move(exact_marginal);
       used_exact = true;
     }
@@ -316,9 +344,9 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
   // (e.g. symmetric states like Dicke whose n*m is just above 2^n).
   if (target.cardinality() <= options_.dual_path_max_cardinality) {
     bool sparse_exact = false;
-    const auto alt = sparse_prepare(&sparse_exact);
-    if (alt.has_value() && selection_cost(*alt, elide) <
-                               selection_cost(circuit, elide)) {
+    const std::int64_t dense_cost = selection_cost(circuit, elide);
+    const auto alt = sparse_prepare(&sparse_exact, incumbent_bound(dense_cost));
+    if (alt.has_value() && selection_cost(*alt, elide) < dense_cost) {
       circuit = *alt;
       result.used_exact_tail = sparse_exact;
     }

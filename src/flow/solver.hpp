@@ -168,8 +168,13 @@ class Solver {
   /// here; the search-free cardinality-reduction fallback is never
   /// budgeted, so a circuit is always produced. A budget-truncated
   /// kernel search sets *budget_exhausted (OR semantics across calls).
+  /// `cost_bound` is the incumbent bound (SearchOptions::cost_bound) on
+  /// the returned circuit's lowered CNOT count: a kernel result is only
+  /// useful below it. When the searches bound out, *used_exact stays
+  /// false and the reduction fallback's circuit is returned.
   Circuit exact_tail(const QuantumState& reduced, bool* used_exact,
-                     bool* budget_exhausted, const Deadline& deadline) const;
+                     bool* budget_exhausted, const Deadline& deadline,
+                     std::int64_t cost_bound) const;
 
   WorkflowOptions options_;
 };

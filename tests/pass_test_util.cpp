@@ -226,4 +226,28 @@ double preparation_overlap(const Circuit& a, const Circuit& b) {
   return std::abs(sa.inner_product(sb));
 }
 
+std::uint64_t gate_sequence_checksum(const Circuit& circuit,
+                                     std::uint64_t hash) {
+  const auto mix = [&hash](std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ull;
+  };
+  const auto mix_angle = [&mix](double a) {
+    mix(static_cast<std::uint64_t>(std::llround(a * 1e9)));
+  };
+  mix(circuit.size());
+  for (const Gate& g : circuit.gates()) {
+    mix(static_cast<std::uint64_t>(g.kind()));
+    mix(static_cast<std::uint64_t>(g.target()));
+    mix_angle(g.theta());
+    mix(g.controls().size());
+    for (const ControlLiteral& c : g.controls()) {
+      mix((static_cast<std::uint64_t>(c.qubit) << 1) | (c.positive ? 1u : 0u));
+    }
+    mix(g.angles().size());
+    for (const double a : g.angles()) mix_angle(a);
+  }
+  return hash;
+}
+
 }  // namespace qsp::test

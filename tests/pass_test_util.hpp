@@ -58,4 +58,12 @@ Circuit random_coupled_circuit(const CouplingGraph& device, int size, Rng& rng,
 /// when the native decompositions differ from CNOT by a global phase.
 double preparation_overlap(const Circuit& a, const Circuit& b);
 
+/// FNV-1a checksum of a gate sequence: kind, wires, control polarity and
+/// every angle rounded to 1e-9, so the value is the same in builds that
+/// contract floating-point arithmetic differently. Continues from `hash`,
+/// so several circuits chain into one corpus checksum.
+inline constexpr std::uint64_t kGateChecksumSeed = 1469598103934665603ull;
+std::uint64_t gate_sequence_checksum(const Circuit& circuit,
+                                     std::uint64_t hash = kGateChecksumSeed);
+
 }  // namespace qsp::test

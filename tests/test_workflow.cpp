@@ -7,7 +7,9 @@
 
 #include "arch/routing.hpp"
 #include "circuit/lowering.hpp"
+#include "core/search_cache.hpp"
 #include "flow/methods.hpp"
+#include "pass_test_util.hpp"
 #include "service/equivalence_cache.hpp"
 #include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
@@ -433,6 +435,57 @@ TEST(Workflow, SharedCacheModeServesRepeatsBitIdentically) {
   EXPECT_GE(warm_stats.exact_hits, cold_stats.exact_hits + 1);
   EXPECT_EQ(cold.circuit, warm.circuit);
   verify_preparation_or_throw(warm.circuit, target);
+}
+
+/// Claims every kernel search as owner and keeps each certifying
+/// search's SearchStats, so a test can see what the searches did.
+class StatsRecorder final : public SearchCache {
+ public:
+  Lookup begin(const SlotState&, const CanonicalWitness&,
+               const CacheFingerprint&, double, bool) override {
+    Lookup lookup;
+    lookup.claim = Claim::kOwner;
+    return lookup;
+  }
+  void end(const SlotState&, const CanonicalWitness&, const CacheFingerprint&,
+           const SynthesisResult* result) override {
+    if (result != nullptr) stats.push_back(result->stats);
+  }
+  std::vector<SearchStats> stats;
+};
+
+int bounded_out_searches(const StatsRecorder& recorder) {
+  int n = 0;
+  for (const SearchStats& s : recorder.stats) n += s.bounded_out ? 1 : 0;
+  return n;
+}
+
+TEST(Workflow, DeviceRunsSearchWithoutIncumbentBound) {
+  // A routed selection cost is neither the kernel's CNOT cost nor
+  // additive, so a device run derives no bound: its output is pinned to
+  // the circuit the workflow produced before bounds existed. All-to-all,
+  // the same request does bound a search out.
+  WorkflowOptions options;
+  options.exact.astar.time_budget_seconds = 0.0;
+  options.exact.astar.node_budget = 20'000;  // deterministic truncation
+  options.exact.beam.time_budget_seconds = 0.0;
+  const QuantumState target = make_dicke(5, 2);
+
+  auto all_to_all = std::make_shared<StatsRecorder>();
+  options.cache = all_to_all;
+  ASSERT_TRUE(Solver(options).prepare(target).found);
+  EXPECT_GE(bounded_out_searches(*all_to_all), 1);
+
+  auto on_line = std::make_shared<StatsRecorder>();
+  options.cache = on_line;
+  options.coupling =
+      std::make_shared<const CouplingGraph>(CouplingGraph::line(5));
+  const WorkflowResult res = Solver(options).prepare(target);
+  ASSERT_TRUE(res.found);
+  verify_preparation_or_throw(res.circuit, target);
+  EXPECT_FALSE(on_line->stats.empty());
+  EXPECT_EQ(bounded_out_searches(*on_line), 0);
+  EXPECT_EQ(test::gate_sequence_checksum(res.circuit), 0xff39cdcbd4e1f424ull);
 }
 
 }  // namespace
