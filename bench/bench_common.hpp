@@ -27,8 +27,9 @@ bool full_mode();
 bool smoke_mode();
 
 /// Worker threads for the exact kernel in bench sweeps, from
-/// QSP_BENCH_THREADS (default 1 = the serial kernel, 0 = all hardware
-/// threads). The fig7 thread-scaling section sweeps its own counts.
+/// QSP_BENCH_THREADS (default 1 = one shard on the calling thread, 0 = all
+/// hardware threads). The fig7 thread-scaling section sweeps its own
+/// counts.
 int bench_threads();
 
 /// Pass-pipeline level for the workflow in bench sweeps, from

@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 #include "circuit/lowering.hpp"
-#include "circuit/optimizer.hpp"
+#include "circuit/pass_pipeline.hpp"
 #include "flow/solver.hpp"
 #include "phase/complex_statevector.hpp"
 #include "phase/phase_oracle.hpp"
@@ -40,11 +40,11 @@ int main() {
       const Solver solver;
       const WorkflowResult mag = solver.prepare(target.magnitudes());
       const std::int64_t mag_cnots =
-          mag.found ? count_cnots_after_lowering(optimize(mag.circuit),
-                                                 elide)
+          mag.found ? count_cnots_after_lowering(
+                          optimize_circuit(mag.circuit), elide)
                     : -1;
       const std::int64_t total =
-          count_cnots_after_lowering(optimize(res.circuit), elide);
+          count_cnots_after_lowering(optimize_circuit(res.circuit), elide);
       const bool ok = verify_complex_preparation(res.circuit, target);
       if (!ok) {
         std::cerr << "COMPLEX VERIFICATION FAILED at n=" << n << "\n";

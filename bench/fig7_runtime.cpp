@@ -4,12 +4,13 @@
 // the same series the paper plots on a log axis.
 //
 // Sections (c)/(d) go beyond the paper: thread scaling of the exact
-// kernel (serial A* vs the sharded HDA* kernel of
-// core/parallel_astar.hpp), asserting that every thread count reproduces
-// the serial certificate bit-for-bit while reporting wall time and the
-// queue-pressure stats (summed per-shard peak open size, stale pops); and
-// thread scaling of the anytime beam (core/parallel_beam.hpp), asserting
-// serial-vs-parallel bit-identical circuits at every thread count.
+// kernel (the HDA* search of core/astar.hpp at 1, 2 and 8 shards),
+// asserting that every thread count reproduces the one-shard cost and
+// certificate while reporting wall time and the queue-pressure stats
+// (summed per-shard peak open size, stale pops); and thread scaling of
+// the anytime beam (core/beam.hpp), asserting bit-identical circuits at
+// every thread count. The JSON field `speedup_vs_serial` is the speedup
+// over the one-shard run.
 
 #include <cstdlib>
 #include <iostream>
@@ -17,8 +18,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/parallel_astar.hpp"
-#include "core/parallel_beam.hpp"
+#include "core/astar.hpp"
+#include "core/beam.hpp"
 #include "state/state_factory.hpp"
 #include "table5_common.hpp"
 #include "util/rng.hpp"
@@ -54,9 +55,9 @@ void sweep(const std::string& title, bool dense, int n_min, int n_max,
   std::cout << table.render() << "\n";
 }
 
-/// Exact-kernel thread scaling on instances the serial kernel certifies.
-/// Every thread count must reproduce the serial cnot_cost and optimal
-/// flag — a runtime check of the parallel certificate, not just a timing.
+/// Exact-kernel thread scaling on instances one shard certifies. Every
+/// thread count must reproduce the one-shard cnot_cost and optimal flag —
+/// a runtime check of the sharded certificate, not just a timing.
 void thread_scaling() {
   std::cout << "(c) exact kernel thread scaling (sharded HDA*)\n";
   struct Instance {
@@ -99,7 +100,7 @@ void thread_scaling() {
       } else if (res.cnot_cost != serial_cost || !res.optimal) {
         std::cerr << "CERTIFICATE MISMATCH on " << inst.name << " at "
                   << threads << " threads: cost " << res.cnot_cost
-                  << " vs serial " << serial_cost << "\n";
+                  << " vs one shard " << serial_cost << "\n";
         std::exit(1);
       }
       const double speedup =
@@ -127,13 +128,12 @@ void thread_scaling() {
   std::cout << table.render() << "\n";
 }
 
-/// Beam-kernel thread scaling on the anytime path: the sharded parallel
-/// beam (core/parallel_beam.hpp) must reproduce the serial descent's
-/// circuit and cnot_cost bit for bit at every thread count — re-checked
-/// here at every bench run, alongside wall time and generated-node
-/// counts per cell.
+/// Beam-kernel thread scaling on the anytime path: the sharded beam
+/// (core/beam.hpp) must reproduce the one-shard descent's circuit and
+/// cnot_cost bit for bit at every thread count — re-checked here at every
+/// bench run, alongside wall time and generated-node counts per cell.
 void beam_thread_scaling() {
-  std::cout << "(d) beam kernel thread scaling (sharded parallel beam)\n";
+  std::cout << "(d) beam kernel thread scaling (sharded beam)\n";
   struct Instance {
     std::string name;
     QuantumState state;
@@ -178,7 +178,7 @@ void beam_thread_scaling() {
                  res.stats.nodes_generated != serial.stats.nodes_generated) {
         std::cerr << "BEAM DETERMINISM MISMATCH on " << inst.name << " at "
                   << threads << " threads: cost " << res.cnot_cost
-                  << " vs serial " << serial.cnot_cost << "\n";
+                  << " vs one shard " << serial.cnot_cost << "\n";
         std::exit(1);
       }
       const double speedup =
@@ -217,7 +217,7 @@ int main() {
       "m-flow hits the time limit on large dense instances. Section (c)\n"
       "adds exact-kernel thread scaling with the certificate re-checked\n"
       "at every thread count; section (d) adds beam-kernel thread\n"
-      "scaling with serial-vs-parallel bit-identity re-checked.");
+      "scaling with bit-identity across thread counts re-checked.");
 
   const bool full = full_mode();
   const bool smoke = smoke_mode();
@@ -239,7 +239,7 @@ int main() {
                "Sections (c)/(d): speedup grows with instance hardness and\n"
                "the machine's core count; on a single-core host the sharded\n"
                "kernels only add coordination overhead. Section (d)\n"
-               "re-checks that the parallel beam is bit-identical to the\n"
-               "serial descent at every thread count.\n";
+               "re-checks that the beam is bit-identical at every thread\n"
+               "count.\n";
   return 0;
 }

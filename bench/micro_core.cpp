@@ -23,7 +23,6 @@
 #include "core/canonical.hpp"
 #include "core/heuristic.hpp"
 #include "core/moves.hpp"
-#include "core/parallel_astar.hpp"
 #include "phase/complex_statevector.hpp"
 #include "sim/statevector.hpp"
 #include "state/state_factory.hpp"
@@ -399,7 +398,7 @@ void BM_ParallelAStarDicke42(benchmark::State& state) {
   const QuantumState target = make_dicke(4, 2);
   SearchOptions options;
   options.num_threads = static_cast<int>(state.range(0));
-  const ParallelAStarSynthesizer synth(options);
+  const AStarSynthesizer synth(options);
   SynthesisResult res;
   for (auto _ : state) {
     res = synth.synthesize(target);

@@ -3,7 +3,9 @@
 // from the target state toward the ground-state equivalence class; the
 // returned circuit is the adjoint of the discovered arc sequence plus a
 // zero-cost disentangling suffix, and provably CNOT-optimal whenever the
-// search completes (admissible heuristic + node reopening).
+// search completes (admissible heuristic + node reopening). The search
+// runs as an HDA*-style kernel over SearchOptions::num_threads shards
+// (core/astar.cpp); one shard is plain A* on the calling thread.
 
 #include <cstdint>
 #include <limits>
@@ -51,10 +53,11 @@ struct SearchOptions {
   /// admissible, so the optimum is unchanged, but the search expands more
   /// nodes on restricted topologies (ablation_coupling quantifies it).
   bool routed_heuristic = true;
-  /// Worker shards for the exact search: 1 runs the serial kernel, larger
-  /// values run the sharded HDA* kernel (core/parallel_astar.hpp) with
-  /// that many threads, 0 uses all hardware threads. The parallel kernel
-  /// keeps the optimality certificate (see docs/ARCHITECTURE.md).
+  /// Shards of the HDA* search, one thread each: 1 runs the search on the
+  /// calling thread and spawns none, 0 uses all hardware threads. Every
+  /// shard count keeps the optimality certificate and the optimal cost
+  /// (see docs/ARCHITECTURE.md); with more than one shard the returned
+  /// circuit and the stats may vary from run to run.
   int num_threads = 1;
   /// Optional cross-request equivalence cache (core/search_cache.hpp).
   /// When set, the search first consults the cache for the target's
@@ -78,13 +81,13 @@ struct SearchStats {
   std::uint64_t nodes_generated = 0;
   std::uint64_t classes_stored = 0;
   /// Queue-pressure signal tracked by micro_core and fig7_runtime: the
-  /// sum over shards of each shard's own peak open-list population. For
-  /// the serial kernels (one shard) this is the true peak; for the
-  /// sharded kernels it is an upper bound on the instantaneous global
-  /// peak, since shard peaks need not coincide in time.
+  /// sum over shards of each shard's own peak open-list population. At
+  /// one shard this is the true peak; with more it is an upper bound on
+  /// the instantaneous global peak, since shard peaks need not coincide
+  /// in time. The beam keeps no open list and reports 0.
   std::uint64_t sum_shard_peak_open_size = 0;
   /// Lazy-deletion discards: popped entries whose pushed g was already
-  /// beaten by a rebind (summed over shards in the parallel kernel).
+  /// beaten by a rebind (summed over shards).
   std::uint64_t stale_pops = 0;
   /// Allocation-pressure signals from the node arena (core/search_core):
   /// blocks allocated and peak resident bytes (node blocks plus slot-entry
@@ -93,9 +96,8 @@ struct SearchStats {
   std::uint64_t arena_blocks = 0;
   std::uint64_t arena_bytes_peak = 0;
   double seconds = 0.0;
-  /// True if the search ran to completion (goal popped, and for the
-  /// sharded kernel: certified against every shard's frontier) within
-  /// budget.
+  /// True if the search ran to completion (goal popped and certified
+  /// against every shard's frontier) within budget.
   bool completed = false;
   /// True if the search stopped early because its node or wall-clock
   /// budget ran out (A*/HDA*: aborted before certifying; beam: a level
@@ -113,7 +115,9 @@ struct SearchStats {
 
 struct SynthesisResult {
   bool found = false;
-  /// True when the result is provably CNOT-optimal (A* completion).
+  /// True when the result is provably CNOT-optimal (A* completion). An
+  /// A* search whose budget ran out after it popped a goal returns that
+  /// goal as an anytime result with `optimal == false`.
   bool optimal = false;
   std::int64_t cnot_cost = -1;
   Circuit circuit{1};

@@ -2,7 +2,8 @@
 // Anytime beam search over the same state-transition graph as the A*
 // solver. Used for instances beyond exact reach (e.g. Dicke states with
 // n >= 5): returns a valid, verified-by-construction arc path without an
-// optimality claim.
+// optimality claim. The descent is level-synchronous and sharded over
+// BeamOptions::num_threads workers (core/beam.cpp).
 
 #include "core/astar.hpp"
 
@@ -31,11 +32,10 @@ struct BeamOptions {
   /// Optional coupling constraint (see SearchOptions::coupling).
   std::shared_ptr<const CouplingGraph> coupling;
   double time_budget_seconds = 0.0;
-  /// Worker shards for the level expansion: 1 runs the serial descent,
-  /// larger values run the sharded parallel beam
-  /// (core/parallel_beam.hpp) with that many threads, 0 uses all
-  /// hardware threads. Results are bit-identical at every thread count
-  /// (deterministic (score, h, canonical key) selection).
+  /// Shards of the level expansion, one thread each: 1 runs the descent
+  /// on the calling thread and spawns none, 0 uses all hardware threads.
+  /// Results are bit-identical at every thread count (deterministic
+  /// (score, h, canonical key) selection).
   int num_threads = 1;
   /// Optional equivalence cache (see SearchOptions::cache). The beam
   /// consults it — a cached certified-optimal circuit beats any beam
@@ -44,8 +44,8 @@ struct BeamOptions {
   /// Exclusive upper bound on the CNOT cost worth finding (see
   /// SearchOptions::cost_bound). It seeds the incumbent goal cost, so the
   /// existing `g2 >= incumbent` and `g + h >= incumbent` pruning applies
-  /// from the first level; serial and parallel descents stay
-  /// bit-identical under any bound.
+  /// from the first level; results stay bit-identical across thread
+  /// counts under any bound.
   std::int64_t cost_bound = kNoCostBound;
 };
 

@@ -1,6 +1,6 @@
 #pragma once
 // Cross-request equivalence-cache hook for the exact-search family. The
-// searchers (serial A*, sharded HDA*, beam) stay cache-agnostic: they talk
+// searchers (HDA* and beam) stay cache-agnostic: they talk
 // to this abstract interface through a ScopedCacheProbe, and the concrete
 // sharded LRU cache lives in src/service/equivalence_cache.hpp. Keys are
 // the canonical form of the searched subproblem plus a fingerprint of

@@ -1,10 +1,10 @@
 #pragma once
-// Shared substrate for the exact-search family (serial A*, the sharded
-// HDA* kernel, and the anytime beam): the node-record arena with the
+// Shared substrate for the two search kernels (the sharded HDA* exact
+// search and the sharded anytime beam): the node-record arena with the
 // canonical-key index and A*'s relax/rebind discipline, the lazy-deletion
-// open list, budget/deadline accounting, the coupling-aware
-// canonicalization demotion, and goal-circuit reconstruction. Extracted
-// from astar.cpp / beam.cpp, which used to duplicate this bookkeeping.
+// open list, budget/deadline accounting, shard ids and shard counts, the
+// coupling-aware canonicalization demotion, and goal-circuit
+// reconstruction.
 
 #include <algorithm>
 #include <cstdint>
@@ -30,9 +30,9 @@ inline constexpr std::int64_t kInfiniteCost =
 
 /// One explored node: a raw representative of its equivalence class, the
 /// best known arc distance g, the admissible remainder h, and the arc
-/// (parent, via) that achieved g. Node ids are searcher-defined: the
-/// serial kernels use arena offsets, the sharded kernel packs
-/// (shard, local offset) into one id; kNoParent marks the root.
+/// (parent, via) that achieved g. Node ids are searcher-defined: arena
+/// offsets within a shard, or (shard, local offset) packed into one id
+/// across shards; kNoParent marks the root.
 struct SearchNode {
   static constexpr std::int64_t kNoParent = -1;
 
@@ -47,7 +47,20 @@ struct SearchNode {
 template <class V>
 using ClassIndex = std::unordered_map<CanonicalKey, V, CanonicalKeyHash>;
 
-/// Global node ids for the sharded kernels (HDA*, parallel beam) pack
+/// Resolve a SearchOptions/BeamOptions::num_threads request into a shard
+/// count: a positive request is taken as is, 0 (or less) means all
+/// hardware threads, and at least 1 is returned either way.
+int resolve_num_threads(int requested);
+
+/// The shard owning a canonical class: a hash of its key, so every class
+/// has exactly one owner. A single shard owns every key without hashing.
+inline int owner_shard(const CanonicalKey& key, int num_shards) {
+  if (num_shards == 1) return 0;
+  return static_cast<int>(CanonicalKeyHash{}(key) %
+                          static_cast<std::size_t>(num_shards));
+}
+
+/// Global node ids for the sharded kernels (HDA*, beam) pack
 /// (shard, arena offset) into one int64 so parent chains may cross
 /// shards; SearchNode::kNoParent stays representable (shard -1).
 inline constexpr int kShardGidShift = 40;
@@ -331,16 +344,16 @@ class OpenQueue {
 
 /// The shared relax-then-push discipline: relax the arc into the arena
 /// and, when the class is new or rebound cheaper, (re)enter it into the
-/// open list under f = g + h. Every A*-family consumer (serial kernel,
-/// HDA* mail drain, HDA* local expansion) must go through this so the
-/// g-at-push staleness contract stays in one place. Entries with
-/// f >= `bound` are recorded but never queued: with an admissible h they
-/// cannot lead to a goal cheaper than the bound.
+/// open list under f = g + h. Both HDA* call sites (mail drain, local
+/// expansion) go through this so the g-at-push staleness contract stays
+/// in one place. Entries with f >= `bound` (the caller's cost bound,
+/// kNoCostBound for none) are recorded but never queued: with an
+/// admissible h they cannot lead to a goal cheaper than the bound.
 template <class HOf>
 void relax_into_open(ClassedArena& arena, OpenQueue& open,
                      CanonicalKey&& key, SlotState&& child, std::int64_t g2,
                      std::int64_t parent, const Move& via, HOf&& h_of,
-                     std::int64_t bound = kInfiniteCost) {
+                     std::int64_t bound) {
   const ClassedArena::Relaxed relaxed =
       arena.relax(std::move(key), std::move(child), g2, parent, via, h_of);
   if (relaxed.improved) {

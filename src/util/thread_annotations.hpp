@@ -1,7 +1,7 @@
 #pragma once
 // Clang Thread Safety Analysis shim: compile-time race detection for the
 // mutex-striped concurrent modules (service/equivalence_cache,
-// service/synthesis_service, core/parallel_astar, core/parallel_beam).
+// service/synthesis_service, core/astar, core/beam).
 // Lock-protected fields are declared QSP_GUARDED_BY(their mutex), helper
 // functions that expect the lock declare QSP_REQUIRES(it), and clang's
 // `-Wthread-safety` (the QSP_THREAD_SAFETY CMake option, -Werror in CI)

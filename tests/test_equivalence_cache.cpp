@@ -222,7 +222,7 @@ TEST(EquivalenceCache, ConcurrentMixedBatchesStayBitIdentical) {
   batch.push_back(*SlotState::from_state(make_dicke(4, 2)));
   batch.push_back(*SlotState::from_state(make_w(4)));
 
-  // Cold reference results: no cache, serial kernel (deterministic).
+  // Cold reference results: no cache, one shard (deterministic).
   std::vector<SynthesisResult> reference;
   for (const SlotState& t : batch) {
     reference.push_back(AStarSynthesizer().synthesize(t));

@@ -1,5 +1,6 @@
 // Incumbent cost bound (SearchOptions::cost_bound, BeamOptions::cost_bound):
-// the four kernels under B in {opt - 1, opt, opt + 1, none}, and the two
+// A* and the beam at several shard counts under B in
+// {opt - 1, opt, opt + 1, none}, and the two
 // facts the workflow's bound derivation rests on: a kernel's cnot_cost is
 // the lowered CNOT count of its circuit, and that count adds over
 // Circuit::append.
@@ -14,8 +15,6 @@
 #include "core/astar.hpp"
 #include "core/beam.hpp"
 #include "core/exact_synthesizer.hpp"
-#include "core/parallel_astar.hpp"
-#include "core/parallel_beam.hpp"
 #include "flow/solver.hpp"
 #include "pass_test_util.hpp"
 #include "prep/mflow.hpp"
@@ -115,13 +114,48 @@ TEST(IncumbentBound, HdaStarFindsOptimumIffBelowBound) {
         SearchOptions options = unbudgeted_astar(threads);
         options.cost_bound = bound;
         const SynthesisResult res =
-            ParallelAStarSynthesizer(options).synthesize(target);
+            AStarSynthesizer(options).synthesize(target);
         const std::string ctx = target.to_string() + " B=" +
                                 bound_name(bound) +
                                 " threads=" + std::to_string(threads);
         expect_bounded_result(res, ref.cnot_cost, bound, ctx);
         if (res.found) verify_preparation_or_throw(res.circuit, target);
       }
+    }
+  }
+}
+
+TEST(IncumbentBound, HdaStarQueuesNothingAtOrAboveTheBound) {
+  // Entries with f >= B can never be expanded, so they are not queued
+  // either: under B = opt the open lists stay smaller than unbounded. At
+  // one shard the peak equals the serial A* kernel's, recorded before the
+  // one-shard HDA* search replaced it.
+  const std::vector<std::uint64_t> serial_peak_at_opt = {
+      1, 1, 1, 8, 10, 8, 24, 23, 32, 57, 36, 96, 6, 11};
+  const std::vector<QuantumState> corpus = bound_corpus();
+  ASSERT_EQ(corpus.size(), serial_peak_at_opt.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const QuantumState& target = corpus[i];
+    const std::int64_t opt =
+        AStarSynthesizer(unbudgeted_astar()).synthesize(target).cnot_cost;
+    SearchOptions one_shard = unbudgeted_astar();
+    one_shard.cost_bound = opt;
+    EXPECT_EQ(AStarSynthesizer(one_shard)
+                  .synthesize(target)
+                  .stats.sum_shard_peak_open_size,
+              serial_peak_at_opt[i])
+        << target.to_string();
+    for (const int threads : {2, 4}) {
+      SearchOptions options = unbudgeted_astar(threads);
+      const SynthesisResult unbounded =
+          AStarSynthesizer(options).synthesize(target);
+      options.cost_bound = opt;
+      const SynthesisResult bounded =
+          AStarSynthesizer(options).synthesize(target);
+      EXPECT_TRUE(bounded.stats.bounded_out) << target.to_string();
+      EXPECT_LE(bounded.stats.sum_shard_peak_open_size,
+                unbounded.stats.sum_shard_peak_open_size)
+          << target.to_string() << " threads=" << threads;
     }
   }
 }
@@ -158,7 +192,7 @@ TEST(IncumbentBound, BeamsAreBitIdenticalAndNeverReachTheBound) {
         BeamOptions parallel_options = workflow_beam(threads);
         parallel_options.cost_bound = bound;
         const SynthesisResult res =
-            ParallelBeamSynthesizer(parallel_options).synthesize(target);
+            BeamSynthesizer(parallel_options).synthesize(target);
         const std::string tctx = ctx + " threads=" + std::to_string(threads);
         ASSERT_EQ(res.found, ref.found) << tctx;
         EXPECT_EQ(res.cnot_cost, ref.cnot_cost) << tctx;
@@ -174,8 +208,8 @@ TEST(IncumbentBound, BeamsAreBitIdenticalAndNeverReachTheBound) {
 }
 
 TEST(IncumbentBound, NoBoundReproducesPinnedCircuits) {
-  // Recorded from the kernels before the bound existed: with no bound
-  // the serial A* and beam circuits are unchanged gate for gate.
+  // Recorded from the serial kernels before the bound existed: with no
+  // bound the one-shard A* and beam circuits are unchanged gate for gate.
   std::uint64_t astar_hash = test::kGateChecksumSeed;
   std::uint64_t beam_hash = test::kGateChecksumSeed;
   for (const QuantumState& target : bound_corpus()) {
