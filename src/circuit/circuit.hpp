@@ -27,6 +27,11 @@ class Circuit {
   /// circuit may be appended onto a wider register).
   void append(const Circuit& other);
 
+  /// Release spare gate capacity (the gates are moved, not copied), so a
+  /// circuit kept after building holds exactly size() gates.
+  void shrink_to_fit() { gates_.shrink_to_fit(); }
+  std::size_t capacity() const { return gates_.capacity(); }
+
   /// Reversed circuit of adjoint gates; undoes this circuit.
   Circuit adjoint() const;
 

@@ -53,12 +53,16 @@ struct alignas(64) Shard {
   /// True only while the worker has verified it holds no useful work.
   std::atomic<bool> idle{false};
   // Owner-thread-only counters, harvested after the join.
+  std::uint64_t classes_counted = 0;  ///< arena size last added to shared
   std::uint64_t expanded = 0;
   std::uint64_t stale_pops = 0;
 };
 
 struct SharedState {
   std::atomic<std::uint64_t> nodes_generated{0};
+  /// Classes stored across shards, for SearchOptions::class_budget. Each
+  /// worker adds its own arena's growth after every step.
+  std::atomic<std::uint64_t> classes_stored{0};
   /// Monotonic mailbox counters: sent is incremented before a message is
   /// appended, received only after the message's effect (arena relax and
   /// min-f republication) is visible. sent == received therefore proves
@@ -86,7 +90,8 @@ class HdaStar {
         move_options_(search_move_gen_options(
             options.max_controls, options.full_candidate_cap,
             options.coupling.get(), level_)),
-        budget_(options.time_budget_seconds, options.node_budget),
+        budget_(options.time_budget_seconds, options.node_budget,
+                options.class_budget),
         num_shards_(resolve_num_threads(options.num_threads)),
         shards_(static_cast<std::size_t>(num_shards_)) {
     // A caller's cost bound is an incumbent without a goal node: nothing
@@ -173,7 +178,9 @@ class HdaStar {
     std::vector<Mail> batch;
 
     while (!shared_.done.load()) {
-      if (budget_.exhausted(shared_.nodes_generated.load())) {
+      count_classes(shard);
+      if (budget_.exhausted(shared_.nodes_generated.load(),
+                            shared_.classes_stored.load())) {
         // If another worker already certified termination, the budget
         // expiring a moment later must not downgrade the certificate.
         if (!shared_.done.exchange(true)) shared_.aborted.store(true);
@@ -270,6 +277,14 @@ class HdaStar {
       }
       out.clear();
     }
+  }
+
+  /// Publish the classes this shard stored since its last call.
+  void count_classes(Shard& shard) {
+    const std::uint64_t stored = shard.arena.size();
+    if (stored == shard.classes_counted) return;
+    shared_.classes_stored.fetch_add(stored - shard.classes_counted);
+    shard.classes_counted = stored;
   }
 
   void offer_incumbent(std::int64_t g, std::int64_t gid) {

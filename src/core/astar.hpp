@@ -35,6 +35,12 @@ struct SearchOptions {
   int max_controls = -1;
   /// Abort after generating this many arcs (0 = unlimited).
   std::uint64_t node_budget = 5'000'000;
+  /// Abort once this many equivalence classes are stored across all
+  /// shards (0 = unlimited). Unlike the wall clock this is a work unit:
+  /// at one shard the search stops at the same point on any machine.
+  /// SearchStats::budget_exhausted reports the stop. The memory of a
+  /// search is its stored classes, so this also caps the search's arena.
+  std::uint64_t class_budget = 0;
   /// Abort after this many seconds (0 = unlimited).
   double time_budget_seconds = 0.0;
   /// Rotation-candidate enumeration cap (see MoveGenOptions); searches on
@@ -99,9 +105,9 @@ struct SearchStats {
   /// True if the search ran to completion (goal popped and certified
   /// against every shard's frontier) within budget.
   bool completed = false;
-  /// True if the search stopped early because its node or wall-clock
-  /// budget ran out (A*/HDA*: aborted before certifying; beam: a level
-  /// was truncated or skipped on deadline expiry). Distinguishes a
+  /// True if the search stopped early because its node, class or
+  /// wall-clock budget ran out (A*/HDA*: aborted before certifying; beam:
+  /// a level was truncated or skipped on deadline expiry). Distinguishes a
   /// budget-truncated result — which might improve with more budget —
   /// from a genuinely finished descent or an exhausted search space.
   bool budget_exhausted = false;

@@ -1,7 +1,11 @@
 #include "core/canonical.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <mutex>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/moves.hpp"
@@ -18,9 +22,9 @@ std::uint64_t pack(BasisIndex index, std::uint32_t count) {
   return (static_cast<std::uint64_t>(index) << 32) | count;
 }
 
-/// Entries packed as (index << 32 | count) in entry order — the base
-/// vector every translation/permutation orbit pass operates on via the
-/// wide primitives (util/bitops wideops).
+/// Entries packed as (index << 32 | count) in entry order: the kNone key,
+/// and the base vector of the greedy translation scan (util/bitops
+/// wideops).
 void pack_entries(const std::vector<SlotEntry>& entries, CanonicalKey& out) {
   out.resize(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -28,26 +32,177 @@ void pack_entries(const std::vector<SlotEntry>& entries, CanonicalKey& out) {
   }
 }
 
-/// Exact lex-min over all qubit permutations of an (already translated)
-/// packed entry vector, written into `best` (`cur` is scratch, reused by
-/// the orbit loop across candidates). n <= 8 (guarded by
-/// util::permutations). When `argmin` is non-null it receives the first
-/// permutation achieving the minimum (the scan keeps first-best, so ties
-/// resolve deterministically).
-void min_over_permutations(const CanonicalKey& packed, int n,
-                           CanonicalKey& best, CanonicalKey& cur,
-                           std::vector<int>* argmin = nullptr) {
-  best.clear();
-  for (const auto& perm : permutations(n)) {
-    cur.resize(packed.size());
-    wideops::permute_high32(cur.data(), packed.data(), packed.size(),
-                            perm.data(), n);
-    std::sort(cur.begin(), cur.end());
-    if (best.empty() || cur < best) {
-      best.swap(cur);
-      if (argmin != nullptr) *argmin = perm;
+// ---------------------------------------------------------------------------
+// The exact scan (kU2, and kPU2Exact at n <= 8).
+//
+// A sorted key of m entries compares exactly like its slot sequence
+// v[0..2^n), where v[i] is the count at index i or kNoEntry (above every
+// count) when i is not in the support: the first differing key entry is
+// either an index present in one key and absent from the other (the key
+// holding it is smaller, and so is its slot) or one index with two counts.
+// So every candidate (translation x, permutation p) is read slot by slot as
+// v[j] = dense[x ^ inv_p(j)], compared against the running best, and
+// dropped at its first larger slot; only the winner is ever packed.
+// docs/ARCHITECTURE.md (canonicalization) has the proof and the tie-break
+// argument.
+// ---------------------------------------------------------------------------
+
+constexpr int kMaxScanQubits = 8;
+/// Widest register whose permutations keep precomputed inverse maps
+/// (n! * 2^n bytes: 46 KB at n = 6; n = 8 would take 10 MB).
+constexpr int kMaxTabledQubits = 6;
+constexpr std::size_t kMaxScanSlots = std::size_t{1} << kMaxScanQubits;
+constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+
+/// The qubit permutations of n <= 8 wires in util::permutations order
+/// (the order the scan's tie break depends on).
+struct PermTable {
+  std::size_t count = 0;
+  /// count x n: bit dest[k*n + q] of the permuted index is bit q of the
+  /// original (SlotState::with_permutation's convention).
+  std::vector<std::uint8_t> dest;
+  /// n <= kMaxTabledQubits only, count x 2^n: inverse[(k << n) | j] is the
+  /// original index that permutation k moves to j.
+  std::vector<std::uint8_t> inverse;
+};
+
+PermTable build_perm_table(int n) {
+  PermTable table;
+  const auto perms = permutations(n);
+  const auto nn = static_cast<std::size_t>(n);
+  const std::size_t slots = std::size_t{1} << n;
+  table.count = perms.size();
+  table.dest.reserve(table.count * nn);
+  for (const auto& perm : perms) {
+    for (const int b : perm) {
+      table.dest.push_back(static_cast<std::uint8_t>(b));
     }
   }
+  if (n <= kMaxTabledQubits) {
+    table.inverse.resize(table.count * slots);
+    for (std::size_t k = 0; k < table.count; ++k) {
+      for (std::size_t j = 0; j < slots; ++j) {
+        std::size_t i = 0;
+        for (std::size_t q = 0; q < nn; ++q) {
+          i |= ((j >> perms[k][q]) & 1u) << q;
+        }
+        table.inverse[k * slots + j] = static_cast<std::uint8_t>(i);
+      }
+    }
+  }
+  return table;
+}
+
+/// Built once per register width, on first use.
+const PermTable& perm_table(int n) {
+  static std::array<std::once_flag, kMaxScanQubits + 1> once;
+  static std::array<PermTable, kMaxScanQubits + 1> tables;
+  const auto i = static_cast<std::size_t>(n);
+  std::call_once(once[i], [&] { tables[i] = build_perm_table(n); });
+  return tables[i];
+}
+
+/// Inverse maps j -> inv_p(j) for the three scan shapes. select(k) picks
+/// permutation k; operator() must then be called with j = 0, 1, 2, ...
+/// restarting from 0 only after another select.
+struct IdentityMap {
+  void select(std::size_t) {}
+  std::size_t operator()(std::size_t j) const { return j; }
+};
+
+struct TabledMap {
+  const std::uint8_t* inverse;
+  int n;
+  const std::uint8_t* row = nullptr;
+  void select(std::size_t k) { row = inverse + (k << n); }
+  std::size_t operator()(std::size_t j) const { return row[j]; }
+};
+
+/// n = 7, 8: inv_p is linear over XOR, so inv_p(j) = inv_p(j without its
+/// lowest bit) | inv_p(lowest bit), filled as the scan reaches each slot.
+struct IncrementalMap {
+  const std::uint8_t* dest;
+  int n;
+  std::array<std::uint8_t, kMaxScanQubits> basis{};
+  std::array<std::uint8_t, kMaxScanSlots> map{};
+  std::size_t filled = 1;
+  void select(std::size_t k) {
+    const std::uint8_t* row = dest + k * static_cast<std::size_t>(n);
+    for (int q = 0; q < n; ++q) {
+      basis[row[q]] = static_cast<std::uint8_t>(1u << q);
+    }
+    filled = 1;  // map[0] stays 0
+  }
+  std::size_t operator()(std::size_t j) {
+    if (j == filled) {
+      const auto low = static_cast<std::size_t>(std::countr_zero(j));
+      map[j] = map[j & (j - 1)] | basis[low];
+      ++filled;
+    }
+    return map[j];
+  }
+};
+
+/// The winner of a scan: X-translation and permutation index.
+struct ScanWinner {
+  BasisIndex translation = 0;
+  std::size_t perm = 0;
+};
+
+/// Scan every candidate (x, k) — x over support entries in entry order,
+/// skipping entries without the minimum count, k in map order — keeping
+/// the first strict minimum. Packs the winner into `key`.
+template <class InvMap>
+ScanWinner slot_scan(const std::vector<SlotEntry>& entries,
+                     std::size_t num_perms, InvMap map, CanonicalKey& key) {
+  const std::size_t m = entries.size();
+  std::array<std::uint32_t, kMaxScanSlots> dense;
+  std::array<std::uint32_t, kMaxScanSlots> best;
+  dense.fill(kNoEntry);
+  // An all-kNoEntry best loses to any candidate at slot 0.
+  best.fill(kNoEntry);
+  std::uint32_t min_count = kNoEntry;
+  for (const SlotEntry& e : entries) {
+    QSP_ASSERT_MSG(e.count < kNoEntry, "slot count reaches the sentinel");
+    dense[e.index] = e.count;
+    min_count = std::min(min_count, e.count);
+  }
+  ScanWinner winner;
+  for (const SlotEntry& e : entries) {
+    // Slot 0 of every candidate translated by x is dense[x].
+    if (e.count != min_count) continue;
+    const BasisIndex x = e.index;
+    for (std::size_t k = 0; k < num_perms; ++k) {
+      map.select(k);
+      std::size_t seen = 0;  // support slots matched so far
+      for (std::size_t j = 0;; ++j) {
+        const std::uint32_t c = dense[x ^ map(j)];
+        if (c == best[j]) {
+          // Equal through the m-th support slot: a tie, the earlier wins.
+          if (c != kNoEntry && ++seen == m) break;
+          continue;
+        }
+        if (c > best[j]) break;
+        // New best from slot j on (c < best[j], so c is a count).
+        winner = ScanWinner{x, k};
+        best[j] = c;
+        for (++seen; seen < m;) {
+          const std::uint32_t v = dense[x ^ map(++j)];
+          best[j] = v;
+          if (v != kNoEntry) ++seen;
+        }
+        break;
+      }
+    }
+  }
+  key.clear();
+  key.reserve(m);
+  for (std::size_t j = 0; key.size() < m; ++j) {
+    if (best[j] != kNoEntry) {
+      key.push_back(pack(static_cast<BasisIndex>(j), best[j]));
+    }
+  }
+  return winner;
 }
 
 /// Reused buffers for greedy_perm_form: the orbit loop calls it once per
@@ -108,6 +263,68 @@ void greedy_perm_form(const CanonicalKey& packed, int n, GreedyScratch& gs,
   }
   out.assign(gs.work.begin(), gs.work.end());
   std::sort(out.begin(), out.end());
+}
+
+/// The canonical form of a compressed state at a level other than kNone,
+/// written into `key` — the one scan behind canonical_key and
+/// canonical_witness, so the two agree bit for bit. When `witness` is
+/// non-null (its permutation preset to the identity) it receives the
+/// winning translation and permutation.
+void canonical_form(const SlotState& compressed, CanonicalLevel level,
+                    CanonicalKey& key, CanonicalWitness* witness) {
+  const int n = compressed.num_qubits();
+  const std::vector<SlotEntry>& entries = compressed.entries();
+  if (level != CanonicalLevel::kPU2Greedy && n <= kMaxScanQubits) {
+    if (level == CanonicalLevel::kU2) {
+      const ScanWinner win = slot_scan(entries, 1, IdentityMap{}, key);
+      if (witness != nullptr) witness->translation = win.translation;
+      return;
+    }
+    const PermTable& table = perm_table(n);
+    const ScanWinner win =
+        n <= kMaxTabledQubits
+            ? slot_scan(entries, table.count,
+                        TabledMap{table.inverse.data(), n}, key)
+            : slot_scan(entries, table.count,
+                        IncrementalMap{table.dest.data(), n}, key);
+    if (witness != nullptr) {
+      witness->translation = win.translation;
+      const auto nn = static_cast<std::size_t>(n);
+      const std::uint8_t* dest = table.dest.data() + win.perm * nn;
+      witness->permutation.assign(dest, dest + nn);
+    }
+    return;
+  }
+  // kPU2Greedy, and registers too wide for the exact scan: every support
+  // translation, then the greedy qubit ordering (none at kU2). Lex-minimal
+  // translated forms start with index 0, so it suffices to try
+  // translations by each support index.
+  const bool greedy = level != CanonicalLevel::kU2;
+  CanonicalKey base;
+  pack_entries(entries, base);
+  CanonicalKey t;
+  CanonicalKey candidate;
+  GreedyScratch gs;
+  std::vector<int> perm;
+  key.clear();
+  for (const SlotEntry& e : entries) {
+    t.resize(base.size());
+    wideops::copy_xor_high32(t.data(), base.data(), base.size(), e.index);
+    std::sort(t.begin(), t.end());
+    if (greedy) {
+      greedy_perm_form(t, n, gs, candidate,
+                       witness != nullptr ? &perm : nullptr);
+    } else {
+      candidate.swap(t);
+    }
+    if (key.empty() || candidate < key) {
+      key.swap(candidate);
+      if (witness != nullptr) {
+        witness->translation = e.index;
+        if (greedy) witness->permutation = perm;
+      }
+    }
+  }
 }
 
 /// Ry angle realizing the free merge of separable qubit q on the
@@ -176,95 +393,25 @@ SlotState compress_free(const SlotState& state,
 }
 
 CanonicalKey canonical_key(const SlotState& state, CanonicalLevel level) {
+  CanonicalKey key;
   if (level == CanonicalLevel::kNone) {
-    CanonicalKey key;
     pack_entries(state.entries(), key);
-    return key;
+  } else {
+    canonical_form(compress_free(state), level, key, nullptr);
   }
-  const SlotState compressed = compress_free(state);
-  const int n = compressed.num_qubits();
-  const bool exact_perm = level == CanonicalLevel::kPU2Exact && n <= 8;
-  const bool greedy_perm_pass =
-      level == CanonicalLevel::kPU2Greedy ||
-      (level == CanonicalLevel::kPU2Exact && n > 8);
-
-  const std::vector<SlotEntry>& entries = compressed.entries();
-  // Packed once; each orbit candidate is one wide XOR pass over it.
-  CanonicalKey base;
-  pack_entries(entries, base);
-
-  CanonicalKey best;
-  CanonicalKey t;
-  CanonicalKey candidate;
-  CanonicalKey scratch;
-  GreedyScratch gs;
-  // Lex-minimal translated forms start with index 0, so it suffices to try
-  // translations by each support index.
-  for (const SlotEntry& e : entries) {
-    t.resize(base.size());
-    wideops::copy_xor_high32(t.data(), base.data(), base.size(), e.index);
-    std::sort(t.begin(), t.end());
-    if (exact_perm) {
-      min_over_permutations(t, n, candidate, scratch);
-    } else if (greedy_perm_pass) {
-      greedy_perm_form(t, n, gs, candidate);
-    } else {
-      candidate.swap(t);
-    }
-    if (best.empty() || candidate < best) best.swap(candidate);
-  }
-  return best;
+  return key;
 }
 
 CanonicalWitness canonical_witness(const SlotState& state,
                                    CanonicalLevel level) {
   CanonicalWitness w;
-  const int n = state.num_qubits();
-  std::vector<int> identity(static_cast<std::size_t>(n));
-  for (int q = 0; q < n; ++q) identity[static_cast<std::size_t>(q)] = q;
+  w.permutation.resize(static_cast<std::size_t>(state.num_qubits()));
+  std::iota(w.permutation.begin(), w.permutation.end(), 0);
   if (level == CanonicalLevel::kNone) {
     pack_entries(state.entries(), w.key);
-    w.permutation = identity;
-    return w;
+  } else {
+    canonical_form(compress_free(state, &w.merge_gates), level, w.key, &w);
   }
-  const SlotState compressed = compress_free(state, &w.merge_gates);
-  const bool exact_perm = level == CanonicalLevel::kPU2Exact && n <= 8;
-  const bool greedy_perm_pass =
-      level == CanonicalLevel::kPU2Greedy ||
-      (level == CanonicalLevel::kPU2Exact && n > 8);
-
-  const std::vector<SlotEntry>& entries = compressed.entries();
-  CanonicalKey base;
-  pack_entries(entries, base);
-
-  // Mirror canonical_key's candidate scan exactly (same iteration order,
-  // same strict-< first-best tie break) so the two stay bit-identical.
-  CanonicalKey best;
-  CanonicalKey t;
-  CanonicalKey candidate;
-  CanonicalKey scratch;
-  GreedyScratch gs;
-  std::vector<int> perm;
-  w.permutation = identity;
-  for (const SlotEntry& e : entries) {
-    t.resize(base.size());
-    wideops::copy_xor_high32(t.data(), base.data(), base.size(), e.index);
-    std::sort(t.begin(), t.end());
-    perm.assign(identity.begin(), identity.end());
-    if (exact_perm) {
-      min_over_permutations(t, n, candidate, scratch, &perm);
-    } else if (greedy_perm_pass) {
-      greedy_perm_form(t, n, gs, candidate, &perm);
-    } else {
-      candidate.swap(t);
-    }
-    if (best.empty() || candidate < best) {
-      best.swap(candidate);
-      w.translation = e.index;
-      w.permutation = perm;
-    }
-  }
-  w.key = std::move(best);
   return w;
 }
 

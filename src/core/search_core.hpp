@@ -54,10 +54,17 @@ int resolve_num_threads(int requested);
 
 /// The shard owning a canonical class: a hash of its key, so every class
 /// has exactly one owner. A single shard owns every key without hashing.
+/// CanonicalKeyHash is FNV-1a over whole words, so its low bits depend
+/// only on the words' low bits (the slot counts, often all equal); the
+/// splitmix64 finalizer spreads every key bit over the bits the modulo
+/// reads.
 inline int owner_shard(const CanonicalKey& key, int num_shards) {
   if (num_shards == 1) return 0;
-  return static_cast<int>(CanonicalKeyHash{}(key) %
-                          static_cast<std::size_t>(num_shards));
+  std::uint64_t h = CanonicalKeyHash{}(key);
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return static_cast<int>(h % static_cast<std::uint64_t>(num_shards));
 }
 
 /// Global node ids for the sharded kernels (HDA*, beam) pack
@@ -106,24 +113,31 @@ inline auto search_heuristic(HeuristicMode mode,
   };
 }
 
-/// Node-generation and wall-clock budgets shared by all searchers.
+/// The A* search's budgets: generated arcs, stored classes and the wall
+/// clock.
 class SearchBudget {
  public:
-  SearchBudget(double time_budget_seconds, std::uint64_t node_budget)
-      : deadline_(time_budget_seconds), node_budget_(node_budget) {}
+  SearchBudget(double time_budget_seconds, std::uint64_t node_budget,
+               std::uint64_t class_budget)
+      : deadline_(time_budget_seconds),
+        node_budget_(node_budget),
+        class_budget_(class_budget) {}
 
   bool deadline_expired() const { return deadline_.expired(); }
 
-  /// True once the search must stop: deadline passed or the generated-arc
-  /// budget (0 = unlimited) is spent.
-  bool exhausted(std::uint64_t nodes_generated) const {
+  /// True once the search must stop: deadline passed, or the
+  /// generated-arc or stored-class budget (0 = unlimited) is spent.
+  bool exhausted(std::uint64_t nodes_generated,
+                 std::uint64_t classes_stored) const {
     return deadline_.expired() ||
-           (node_budget_ != 0 && nodes_generated >= node_budget_);
+           (node_budget_ != 0 && nodes_generated >= node_budget_) ||
+           (class_budget_ != 0 && classes_stored >= class_budget_);
   }
 
  private:
   Deadline deadline_;
   std::uint64_t node_budget_;
+  std::uint64_t class_budget_;
 };
 
 /// Chunked node storage with stable references: nodes live in

@@ -216,7 +216,11 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
     if (pipeline.pass.target.coupling == nullptr) {
       pipeline.pass.target.coupling = options_.coupling;
     }
-    return optimize_circuit(circuit, pipeline, &result.passes);
+    // Every returned circuit passes through here: hand it back at exact
+    // capacity, since callers such as the service keep results.
+    Circuit out = optimize_circuit(circuit, pipeline, &result.passes);
+    out.shrink_to_fit();
+    return out;
   };
   // Selection metric for competing tails/paths: lowered CNOT count,
   // measured after routing when a device is set — a tail with fewer

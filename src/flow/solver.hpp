@@ -101,6 +101,11 @@ struct WorkflowOptions {
     // the rotation-candidate enumeration: the dense path hands the tail
     // count-heavy marginals where full enumeration explodes.
     exact.astar.node_budget = 400'000;
+    // Every search that certifies on the benchmark corpora stores at most
+    // ~3.4 k classes (a line(4) m = 6 class), while searches that run out
+    // of their 1 s clock had stored >= 4.7 k: past this, a tail search
+    // is abandoned by work done, not by machine load.
+    exact.astar.class_budget = 4096;
     exact.astar.time_budget_seconds = 1.0;
     exact.astar.full_candidate_cap = 64;
     exact.beam.beam_width = 128;

@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -67,15 +68,39 @@ std::vector<std::uint64_t> Rng::sample_distinct(std::uint64_t pool,
   if (k > pool) {
     throw std::invalid_argument("Rng::sample_distinct: k exceeds pool");
   }
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(k * 2);
-  // Floyd's algorithm: uniform over all k-subsets.
-  for (std::uint64_t j = pool - k; j < pool; ++j) {
-    const std::uint64_t t = next_below(j + 1);
-    if (!chosen.insert(t).second) chosen.insert(j);
+  // Floyd's algorithm: uniform over all k-subsets. Its draws depend only on
+  // the membership answers, so every exact set gives the same sample. A
+  // pool of at most 4 words per sampled value is a bitmap, which needs no
+  // node per value and reads out sorted; larger pools use a hash set.
+  std::vector<std::uint64_t> out;
+  out.reserve(k);
+  if (pool / 256 <= k) {
+    std::vector<std::uint64_t> bits((pool + 63) / 64, 0);
+    const auto insert = [&bits](std::uint64_t x) {
+      std::uint64_t& word = bits[x >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (x & 63);
+      const bool fresh = (word & bit) == 0;
+      word |= bit;
+      return fresh;
+    };
+    for (std::uint64_t j = pool - k; j < pool; ++j) {
+      if (!insert(next_below(j + 1))) insert(j);
+    }
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+      for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+        out.push_back(w * 64 + static_cast<unsigned>(std::countr_zero(b)));
+      }
+    }
+  } else {
+    std::unordered_set<std::uint64_t> chosen;
+    chosen.reserve(k * 2);
+    for (std::uint64_t j = pool - k; j < pool; ++j) {
+      const std::uint64_t t = next_below(j + 1);
+      if (!chosen.insert(t).second) chosen.insert(j);
+    }
+    out.assign(chosen.begin(), chosen.end());
+    std::sort(out.begin(), out.end());
   }
-  std::vector<std::uint64_t> out(chosen.begin(), chosen.end());
-  std::sort(out.begin(), out.end());
   QSP_ASSERT(out.size() == k);
   return out;
 }

@@ -89,6 +89,42 @@ TEST(AStar, BudgetExhaustionReportsNotFound) {
   EXPECT_TRUE(res.stats.budget_exhausted);
 }
 
+TEST(AStar, ClassBudgetStopsTheSearchAtEveryShardCount) {
+  // Dicke(4,2) certifies after storing 74 classes; a budget of
+  // 20 stops it first. The stop is checked between steps, so at one shard
+  // the arena overshoots by at most one expansion's children.
+  const SynthesisResult full = solve(make_dicke(4, 2));
+  ASSERT_TRUE(full.stats.completed);
+  ASSERT_GT(full.stats.classes_stored, 50u);
+  for (const int threads : {1, 2, 4}) {
+    SearchOptions tight;
+    tight.num_threads = threads;
+    tight.class_budget = 20;
+    const SynthesisResult res = solve(make_dicke(4, 2), tight);
+    EXPECT_FALSE(res.found) << threads;
+    EXPECT_FALSE(res.stats.completed) << threads;
+    EXPECT_TRUE(res.stats.budget_exhausted) << threads;
+    EXPECT_GE(res.stats.classes_stored, 20u) << threads;
+    EXPECT_LT(res.stats.classes_stored, full.stats.classes_stored) << threads;
+    if (threads == 1) {
+      // A work-unit budget: one shard stops at the same point every run.
+      const SynthesisResult again = solve(make_dicke(4, 2), tight);
+      EXPECT_EQ(again.stats.classes_stored, res.stats.classes_stored);
+      EXPECT_EQ(again.stats.nodes_generated, res.stats.nodes_generated);
+      EXPECT_EQ(again.stats.nodes_expanded, res.stats.nodes_expanded);
+    }
+  }
+  // A budget the search never reaches changes nothing.
+  SearchOptions roomy;
+  roomy.class_budget = full.stats.classes_stored + 1000;
+  const SynthesisResult res = solve(make_dicke(4, 2), roomy);
+  EXPECT_TRUE(res.stats.completed);
+  EXPECT_FALSE(res.stats.budget_exhausted);
+  EXPECT_EQ(res.cnot_cost, full.cnot_cost);
+  EXPECT_EQ(res.stats.nodes_generated, full.stats.nodes_generated);
+  EXPECT_EQ(res.stats.classes_stored, full.stats.classes_stored);
+}
+
 TEST(AStar, CompletedSearchIsNotBudgetExhausted) {
   const SynthesisResult res = solve(make_dicke(4, 2));
   ASSERT_TRUE(res.found);

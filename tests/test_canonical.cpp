@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/moves.hpp"
@@ -233,6 +234,191 @@ TEST(Canonical, WitnessHandlesSeparableStructure) {
     const QuantumState reached = apply_witness(split, w);
     const QuantumState form = key_to_state(w.key, 3).to_state();
     EXPECT_TRUE(reached.approx_equal(form, 1e-9));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reference: the full scan canonicalization ran before the slot-sequence
+// scan. Every support translation is tried; at kPU2Exact every qubit
+// permutation in util::permutations order, at kPU2Greedy the greedy qubit
+// ordering; whole sorted keys are compared and the first strict minimum is
+// kept. The production scan must reproduce its keys and witnesses bit for
+// bit.
+// ---------------------------------------------------------------------------
+
+std::uint64_t packed(BasisIndex index, std::uint32_t count) {
+  return (static_cast<std::uint64_t>(index) << 32) | count;
+}
+
+BasisIndex index_of(std::uint64_t word) {
+  return static_cast<BasisIndex>(word >> 32);
+}
+
+/// Greedy ordering of a translated, sorted key: repeatedly append the
+/// unused qubit's column that minimizes the sorted partial key.
+CanonicalKey reference_greedy(const CanonicalKey& t, int n,
+                              std::vector<int>& perm) {
+  const std::size_t m = t.size();
+  CanonicalKey work(m);
+  for (std::size_t i = 0; i < m; ++i) work[i] = t[i] & 0xFFFFFFFFull;
+  std::vector<bool> used(static_cast<std::size_t>(n), false);
+  perm.assign(static_cast<std::size_t>(n), 0);
+  for (int step = 0; step < n; ++step) {
+    int best_q = -1;
+    CanonicalKey best_vals;
+    CanonicalKey best_sorted;
+    for (int q = 0; q < n; ++q) {
+      if (used[static_cast<std::size_t>(q)]) continue;
+      CanonicalKey vals(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        const BasisIndex prefix = (index_of(work[i]) << 1) |
+                                  ((index_of(t[i]) >> q) & 1u);
+        vals[i] = packed(prefix, static_cast<std::uint32_t>(work[i]));
+      }
+      CanonicalKey sorted = vals;
+      std::sort(sorted.begin(), sorted.end());
+      if (best_q < 0 || sorted < best_sorted) {
+        best_q = q;
+        best_vals = vals;
+        best_sorted = sorted;
+      }
+    }
+    used[static_cast<std::size_t>(best_q)] = true;
+    perm[static_cast<std::size_t>(best_q)] = n - 1 - step;
+    work = best_vals;
+  }
+  std::sort(work.begin(), work.end());
+  return work;
+}
+
+CanonicalWitness reference_witness(const SlotState& state,
+                                   CanonicalLevel level) {
+  CanonicalWitness w;
+  const int n = state.num_qubits();
+  std::vector<int> identity(static_cast<std::size_t>(n));
+  for (int q = 0; q < n; ++q) identity[static_cast<std::size_t>(q)] = q;
+  w.permutation = identity;
+  const SlotState compressed = compress_free(state, &w.merge_gates);
+  const bool exact = level == CanonicalLevel::kPU2Exact && n <= 8;
+  const bool greedy = level == CanonicalLevel::kPU2Greedy ||
+                      (level == CanonicalLevel::kPU2Exact && n > 8);
+  CanonicalKey best;
+  for (const SlotEntry& e : compressed.entries()) {
+    CanonicalKey t;
+    for (const SlotEntry& f : compressed.entries()) {
+      t.push_back(packed(f.index ^ e.index, f.count));
+    }
+    std::sort(t.begin(), t.end());
+    CanonicalKey candidate = t;
+    std::vector<int> perm = identity;
+    if (exact) {
+      candidate.clear();
+      for (const auto& p : permutations(n)) {
+        CanonicalKey cur;
+        for (const std::uint64_t x : t) {
+          cur.push_back(packed(permute_bits(index_of(x), p),
+                               static_cast<std::uint32_t>(x)));
+        }
+        std::sort(cur.begin(), cur.end());
+        if (candidate.empty() || cur < candidate) {
+          candidate = cur;
+          perm = p;
+        }
+      }
+    } else if (greedy) {
+      candidate = reference_greedy(t, n, perm);
+    }
+    if (best.empty() || candidate < best) {
+      best = candidate;
+      w.translation = e.index;
+      w.permutation = perm;
+    }
+  }
+  w.key = best;
+  return w;
+}
+
+/// A random slot state with m distinct indices: every count 1 (uniform)
+/// or counts drawn from [1, 4] (varied, so ties between equal-count
+/// entries and count-driven orderings both occur).
+SlotState random_counted_slot(Rng& rng, int n, std::size_t m, bool varied) {
+  std::vector<SlotEntry> entries;
+  for (const std::uint64_t index :
+       rng.sample_distinct(std::uint64_t{1} << n, m)) {
+    const auto count =
+        varied ? static_cast<std::uint32_t>(1 + rng.next_below(4)) : 1u;
+    entries.push_back(SlotEntry{static_cast<BasisIndex>(index), count});
+  }
+  return SlotState(n, std::move(entries));
+}
+
+void expect_matches_reference(const SlotState& s, CanonicalLevel level) {
+  const CanonicalWitness ref = reference_witness(s, level);
+  const CanonicalWitness w = canonical_witness(s, level);
+  ASSERT_EQ(w.key, ref.key) << "level " << static_cast<int>(level)
+                            << " state " << s.to_string();
+  ASSERT_EQ(canonical_key(s, level), ref.key) << s.to_string();
+  ASSERT_EQ(w.translation, ref.translation) << s.to_string();
+  ASSERT_EQ(w.permutation, ref.permutation) << s.to_string();
+  ASSERT_EQ(w.merge_gates.size(), ref.merge_gates.size());
+}
+
+TEST(Canonical, SlotScanMatchesFullScanReference) {
+  // 20.4 k states over n = 1..6, half uniform, half with varied counts,
+  // each checked at all three canonical levels.
+  Rng rng(20240101);
+  int states = 0;
+  for (int n = 1; n <= 6; ++n) {
+    const std::size_t max_m =
+        std::min<std::size_t>(std::size_t{1} << n, 10);
+    for (int i = 0; i < 3400; ++i) {
+      const std::size_t m = 1 + rng.next_below(max_m);
+      const SlotState s = random_counted_slot(rng, n, m, i % 2 == 1);
+      for (const CanonicalLevel level :
+           {CanonicalLevel::kU2, CanonicalLevel::kPU2Greedy,
+            CanonicalLevel::kPU2Exact}) {
+        expect_matches_reference(s, level);
+      }
+      ++states;
+    }
+  }
+  EXPECT_EQ(states, 20400);
+}
+
+TEST(Canonical, SlotScanMatchesFullScanReferenceOnWideRegisters) {
+  // n = 7, 8 compute each permutation's inverse map on the fly instead of
+  // reading a table.
+  Rng rng(77);
+  for (int n = 7; n <= 8; ++n) {
+    for (int i = 0; i < (n == 7 ? 12 : 6); ++i) {
+      const std::size_t m = 2 + rng.next_below(5);
+      const SlotState s = random_counted_slot(rng, n, m, i % 2 == 1);
+      for (const CanonicalLevel level :
+           {CanonicalLevel::kU2, CanonicalLevel::kPU2Greedy,
+            CanonicalLevel::kPU2Exact}) {
+        expect_matches_reference(s, level);
+      }
+    }
+  }
+}
+
+TEST(Canonical, SlotScanMatchesFullScanReferenceOnWorkflowStates) {
+  // Uniform random states and the benchmark families as the workflow
+  // hands them to the search.
+  Rng rng(31);
+  std::vector<SlotState> states;
+  for (int i = 0; i < 40; ++i) {
+    states.push_back(random_slot(rng, 4, 2 + i % 7));
+  }
+  states.push_back(*SlotState::from_state(make_ghz(5)));
+  states.push_back(*SlotState::from_state(make_w(5)));
+  states.push_back(*SlotState::from_state(make_dicke(6, 3)));
+  for (const SlotState& s : states) {
+    for (const CanonicalLevel level :
+         {CanonicalLevel::kU2, CanonicalLevel::kPU2Greedy,
+          CanonicalLevel::kPU2Exact}) {
+      expect_matches_reference(s, level);
+    }
   }
 }
 

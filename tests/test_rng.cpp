@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace qsp {
 namespace {
@@ -68,6 +69,34 @@ TEST(Rng, SampleDistinctFullPool) {
   EXPECT_EQ(sample.size(), 16u);
   for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(sample[i], i);
   EXPECT_THROW(rng.sample_distinct(4, 5), std::invalid_argument);
+}
+
+TEST(Rng, SampleDistinctMatchesHashSetFloyd) {
+  // Small pools sample through a bitmap, large ones through a hash set;
+  // both must give the sample (and leave the generator in the state) of
+  // Floyd's algorithm over a hash set, so seeded corpora never change.
+  const auto reference = [](Rng& rng, std::uint64_t pool, std::size_t k) {
+    std::unordered_set<std::uint64_t> chosen;
+    for (std::uint64_t j = pool - k; j < pool; ++j) {
+      const std::uint64_t t = rng.next_below(j + 1);
+      if (!chosen.insert(t).second) chosen.insert(j);
+    }
+    std::vector<std::uint64_t> out(chosen.begin(), chosen.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  Rng a(21);
+  Rng b(21);
+  for (const std::uint64_t pool :
+       {1ull, 2ull, 63ull, 64ull, 65ull, 256ull, 1000ull, 1ull << 12,
+        1ull << 20}) {
+    for (const std::size_t k : {0, 1, 2, 5, 16, 20, 64, 128, 256}) {
+      if (k > pool) continue;
+      EXPECT_EQ(a.sample_distinct(pool, k), reference(b, pool, k))
+          << "pool " << pool << " k " << k;
+    }
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(Rng, ShuffleIsPermutation) {

@@ -1,16 +1,19 @@
 // Tests for the search substrate: NodeArena reference stability and
 // allocation accounting, and the flat 4-ary OpenQueue's pop order checked
 // differentially against a std::priority_queue reference using the same
-// lexicographic (f, h, id, g_at_push) order.
+// lexicographic (f, h, id, g_at_push) order; owner_shard's spread of
+// canonical classes over shards.
 
 #include "core/search_core.hpp"
 
 #include <gtest/gtest.h>
 
 #include <queue>
+#include <set>
 #include <tuple>
 #include <vector>
 
+#include "state/state_factory.hpp"
 #include "util/rng.hpp"
 
 namespace qsp {
@@ -137,6 +140,42 @@ TEST(OpenQueue, MinFAndPeakSize) {
   EXPECT_EQ(top->id, 1);
   EXPECT_EQ(open.min_f(), 5);
   EXPECT_EQ(open.peak_size(), 3u);
+}
+
+TEST(OwnerShard, SpreadsClassesOverPowerOfTwoShardCounts) {
+  // About 3.7 k distinct U(2) canonical keys of the children of random
+  // 4-qubit uniform states, as an HDA* search on a restricted coupling
+  // generates them. Their slot counts are mostly equal, so the low bits
+  // of their raw FNV-1a hashes are too: unmixed, one of 4 shards owned
+  // 15% of them and another 35%.
+  Rng rng(4);
+  std::set<CanonicalKey> keys;
+  const MoveGenOptions moves =
+      search_move_gen_options(-1, 4096, nullptr, CanonicalLevel::kU2);
+  for (int i = 0; i < 270; ++i) {
+    const SlotState s =
+        *SlotState::from_state(make_random_uniform(4, 3 + i % 6, rng));
+    for (const Move& mv : enumerate_moves(s, moves)) {
+      keys.insert(
+          canonical_key(apply_move(s, mv), CanonicalLevel::kU2));
+    }
+  }
+  ASSERT_GE(keys.size(), 3500u);
+  for (const int shards : {2, 4}) {
+    std::vector<std::size_t> owned(static_cast<std::size_t>(shards), 0);
+    for (const CanonicalKey& key : keys) {
+      const int owner = owner_shard(key, shards);
+      ASSERT_GE(owner, 0);
+      ASSERT_LT(owner, shards);
+      ++owned[static_cast<std::size_t>(owner)];
+    }
+    for (int s = 0; s < shards; ++s) {
+      EXPECT_GE(owned[static_cast<std::size_t>(s)] * 5, keys.size())
+          << "shard " << s << " of " << shards << " owns "
+          << owned[static_cast<std::size_t>(s)] << " of " << keys.size();
+    }
+  }
+  EXPECT_EQ(owner_shard(*keys.begin(), 1), 0);
 }
 
 }  // namespace

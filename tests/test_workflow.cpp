@@ -488,5 +488,48 @@ TEST(Workflow, DeviceRunsSearchWithoutIncumbentBound) {
   EXPECT_EQ(test::gate_sequence_checksum(res.circuit), 0xff39cdcbd4e1f424ull);
 }
 
+TEST(Workflow, DefaultClassBudgetStillCertifiesLineFourClass) {
+  // The hardest line(4) class of the benchmark's 4-qubit pool: its tail
+  // search certifies 12 CNOTs after storing 3,397 classes, the most of
+  // any search that certifies there, under the workflow's default class
+  // budget. The wall clock is switched off so only the class budget can
+  // stop the search, whatever the machine load.
+  WorkflowOptions options;
+  EXPECT_EQ(options.exact.astar.class_budget, 4096u);
+  options.exact.astar.time_budget_seconds = 0.0;
+  options.exact.beam.time_budget_seconds = 0.0;
+  auto recorder = std::make_shared<StatsRecorder>();
+  options.cache = recorder;
+  options.coupling =
+      std::make_shared<const CouplingGraph>(CouplingGraph::line(4));
+  const QuantumState target =
+      make_uniform(4, {0b0001, 0b0111, 0b1001, 0b1010, 0b1011, 0b1100});
+  const WorkflowResult res = Solver(options).prepare(target);
+  ASSERT_TRUE(res.found);
+  EXPECT_TRUE(res.used_exact_tail);
+  EXPECT_FALSE(res.budget_exhausted);
+  verify_preparation_or_throw(res.circuit, target);
+  ASSERT_EQ(recorder->stats.size(), 1u);
+  EXPECT_TRUE(recorder->stats[0].completed);
+  EXPECT_EQ(recorder->stats[0].classes_stored, 3397u);
+  EXPECT_EQ(count_cnots_after_lowering(res.circuit), 12);
+}
+
+TEST(Workflow, RoutedResultIsReturnedAtExactCapacity) {
+  // A wide sparse request routed onto a 4x4 grid: the stitched and routed
+  // circuit grows by appends, and prepare hands it back without the
+  // spare capacity (callers such as the service keep every result).
+  WorkflowOptions options;
+  options.coupling =
+      std::make_shared<const CouplingGraph>(CouplingGraph::grid(4, 4));
+  Rng rng(16);
+  const QuantumState target = make_random_uniform(12, 12, rng);
+  const WorkflowResult res = Solver(options).prepare(target);
+  ASSERT_TRUE(res.found);
+  EXPECT_GT(res.circuit.size(), 100u);
+  EXPECT_EQ(res.circuit.capacity(), res.circuit.size());
+  verify_preparation_or_throw(res.circuit, target);
+}
+
 }  // namespace
 }  // namespace qsp
