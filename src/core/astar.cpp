@@ -17,6 +17,7 @@
 
 #include "core/astar.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <iterator>
 #include <stdexcept>
@@ -32,6 +33,123 @@
 namespace qsp {
 namespace {
 
+/// A shard's transposition table over raw child states, consulted before
+/// canonicalization. Most children of a search are byte-identical to a
+/// child the shard generated before (one state reached along several arc
+/// orders). Equal entry words are the same state, hence the same class, so
+/// a hit is exact: it gives the class's arena id when this shard owns the
+/// class, else the canonical key it was mailed under. The table holds at
+/// most kTranspositionTableEntries states in a bounded word pool and is
+/// cleared when full; a cleared state only costs the canonicalization a
+/// hit would have saved. Owner-thread only.
+class RawStateTable {
+ public:
+  struct Slot {
+    std::uint64_t hash = 0;
+    /// Arena id when the shard owns the class, else SearchNode::kNoParent
+    /// and the canonical key follows the raw words in the pool.
+    std::int64_t id = SearchNode::kNoParent;
+    std::uint32_t offset = 0;
+    std::uint16_t raw_size = 0;  ///< 0 marks an empty slot
+    std::uint16_t key_size = 0;
+  };
+
+  static std::uint64_t hash_of(const SlotState& state) {
+    const std::uint64_t* words = entry_words(state.entries());
+    std::uint64_t h = state.entries().size();
+    for (std::size_t i = 0; i < state.entries().size(); ++i) {
+      h = (h ^ words[i]) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+  /// The slot recording `state` (whose hash_of is `hash`), or nullptr.
+  const Slot* find(const SlotState& state, std::uint64_t hash) const {
+    if (slots_.empty()) return nullptr;
+    const std::uint64_t* words = entry_words(state.entries());
+    const std::size_t size = state.entries().size();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.raw_size == 0) return nullptr;
+      if (slot.hash == hash && slot.raw_size == size &&
+          std::equal(words, words + size, words_.data() + slot.offset)) {
+        return &slot;
+      }
+    }
+  }
+
+  CanonicalKey key(const Slot& slot) const {
+    const std::uint64_t* first = words_.data() + slot.offset + slot.raw_size;
+    return CanonicalKey(first, first + slot.key_size);
+  }
+
+  /// Record a state find() missed, with its canonical key when another
+  /// shard owns the class (`remote_key` non-null). Returns the slot's id
+  /// for the caller to set once the owned class has an arena id, or
+  /// nullptr when the state is too large to record. Invalidates slots
+  /// returned by find().
+  std::int64_t* insert(const SlotState& state, std::uint64_t hash,
+                       const CanonicalKey* remote_key) {
+    const std::size_t raw_size = state.entries().size();
+    const std::size_t key_size = remote_key != nullptr ? remote_key->size() : 0;
+    if (raw_size > 0xffff || key_size > 0xffff) return nullptr;
+    if (used_ == kTranspositionTableEntries ||
+        words_.size() + raw_size + key_size > kMaxWords) {
+      clear();
+    }
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    Slot& slot = place(hash);
+    slot.hash = hash;
+    slot.id = SearchNode::kNoParent;
+    slot.offset = static_cast<std::uint32_t>(words_.size());
+    slot.raw_size = static_cast<std::uint16_t>(raw_size);
+    slot.key_size = static_cast<std::uint16_t>(key_size);
+    const std::uint64_t* words = entry_words(state.entries());
+    words_.insert(words_.end(), words, words + raw_size);
+    if (remote_key != nullptr) {
+      words_.insert(words_.end(), remote_key->begin(), remote_key->end());
+    }
+    ++used_;
+    return &slot.id;
+  }
+
+ private:
+  /// Raw and key words the pool may hold: 2 MiB, more than any one
+  /// record (at most 2 x 0xffff words).
+  static constexpr std::size_t kMaxWords = std::size_t{1} << 18;
+  static constexpr std::size_t kInitialSlots = 1024;
+
+  /// The first free slot on `hash`'s probe sequence.
+  Slot& place(std::uint64_t hash) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash & mask;
+    while (slots_[i].raw_size != 0) i = (i + 1) & mask;
+    return slots_[i];
+  }
+
+  /// Double the slot array (at most 2 * kTranspositionTableEntries, so
+  /// the load factor stays at most 1/2) and rehash.
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.raw_size != 0) place(slot.hash) = slot;
+    }
+  }
+
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    words_.clear();
+    used_ = 0;
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint64_t> words_;
+  std::size_t used_ = 0;
+};
+
 /// A successor routed to the shard owning its canonical key. The owner
 /// computes h lazily (only for classes it has never seen).
 struct Mail {
@@ -45,6 +163,7 @@ struct Mail {
 struct alignas(64) Shard {
   ClassedArena arena;
   OpenQueue open;
+  RawStateTable seen;
   Mutex inbox_mutex;
   std::vector<Mail> inbox QSP_GUARDED_BY(inbox_mutex);
   /// f of the shard's best frontier entry, (re)published every time the
@@ -56,6 +175,7 @@ struct alignas(64) Shard {
   std::uint64_t classes_counted = 0;  ///< arena size last added to shared
   std::uint64_t expanded = 0;
   std::uint64_t stale_pops = 0;
+  std::uint64_t transposition_hits = 0;
 };
 
 struct SharedState {
@@ -122,6 +242,7 @@ class HdaStar {
     for (const Shard& shard : shards_) {
       result.stats.nodes_expanded += shard.expanded;
       result.stats.stale_pops += shard.stale_pops;
+      result.stats.transposition_hits += shard.transposition_hits;
       result.stats.classes_stored += shard.arena.size();
       result.stats.sum_shard_peak_open_size += shard.open.peak_size();
       result.stats.arena_blocks += shard.arena.arena_blocks();
@@ -247,12 +368,30 @@ class HdaStar {
       ++generated;
       SlotState child = apply_move(state, mv);
       const std::int64_t g2 = g + mv.cost;
-      CanonicalKey key = canonical_key(child, level_);
+      // A raw state seen before skips canonicalization, and is dropped
+      // where relax would be a no-op: its owned class is already as cheap.
+      const std::uint64_t hash = RawStateTable::hash_of(child);
+      const RawStateTable::Slot* seen = shard.seen.find(child, hash);
+      if (seen != nullptr) {
+        ++shard.transposition_hits;
+        if (seen->id != SearchNode::kNoParent &&
+            shard.arena.node(seen->id).g <= g2) {
+          continue;
+        }
+      }
+      CanonicalKey key = seen != nullptr && seen->id == SearchNode::kNoParent
+                             ? shard.seen.key(*seen)
+                             : canonical_key(child, level_);
       const int owner = owner_shard(key, num_shards_);
+      std::int64_t* owned_id =
+          seen == nullptr
+              ? shard.seen.insert(child, hash, owner == s ? nullptr : &key)
+              : nullptr;
       if (owner == s) {
-        relax_into_open(shard.arena, shard.open, std::move(key),
-                        std::move(child), g2, parent_gid, mv, h_,
-                        options_.cost_bound);
+        const std::int64_t child_id = relax_into_open(
+            shard.arena, shard.open, std::move(key), std::move(child), g2,
+            parent_gid, mv, h_, options_.cost_bound);
+        if (owned_id != nullptr) *owned_id = child_id;
       } else {
         outbox[static_cast<std::size_t>(owner)].push_back(
             Mail{std::move(key), std::move(child), g2, parent_gid, mv});

@@ -28,6 +28,10 @@ class SearchCache;
 inline constexpr std::int64_t kNoCostBound =
     std::numeric_limits<std::int64_t>::max();
 
+/// Raw child states each A* shard's transposition table holds before it
+/// is cleared (core/astar.cpp).
+inline constexpr std::size_t kTranspositionTableEntries = std::size_t{1} << 13;
+
 struct SearchOptions {
   HeuristicMode heuristic = HeuristicMode::kComponent;
   CanonicalLevel canonical = CanonicalLevel::kPU2Exact;
@@ -95,6 +99,11 @@ struct SearchStats {
   /// Lazy-deletion discards: popped entries whose pushed g was already
   /// beaten by a rebind (summed over shards).
   std::uint64_t stale_pops = 0;
+  /// Generated children whose raw state their shard's transposition table
+  /// already held (A* only; summed over shards). A hit skips
+  /// canonicalization, and drops the child where relaxing it would change
+  /// nothing; nodes_generated still counts it.
+  std::uint64_t transposition_hits = 0;
   /// Allocation-pressure signals from the node arena (core/search_core):
   /// blocks allocated and peak resident bytes (node blocks plus slot-entry
   /// heap storage), summed over shards. Visible in micro_core JSON so

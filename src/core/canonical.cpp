@@ -4,14 +4,12 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/moves.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
-#include "util/combinatorics.hpp"
 
 namespace qsp {
 namespace {
@@ -68,23 +66,23 @@ struct PermTable {
 
 PermTable build_perm_table(int n) {
   PermTable table;
-  const auto perms = permutations(n);
   const auto nn = static_cast<std::size_t>(n);
   const std::size_t slots = std::size_t{1} << n;
-  table.count = perms.size();
-  table.dest.reserve(table.count * nn);
-  for (const auto& perm : perms) {
-    for (const int b : perm) {
-      table.dest.push_back(static_cast<std::uint8_t>(b));
-    }
-  }
+  // Lexicographic from the identity: util::permutations order.
+  std::array<std::uint8_t, kMaxScanQubits> perm{};
+  std::iota(perm.begin(), perm.begin() + n, std::uint8_t{0});
+  do {
+    table.dest.insert(table.dest.end(), perm.begin(), perm.begin() + n);
+    ++table.count;
+  } while (std::next_permutation(perm.begin(), perm.begin() + n));
   if (n <= kMaxTabledQubits) {
     table.inverse.resize(table.count * slots);
     for (std::size_t k = 0; k < table.count; ++k) {
+      const std::uint8_t* dest = table.dest.data() + k * nn;
       for (std::size_t j = 0; j < slots; ++j) {
         std::size_t i = 0;
         for (std::size_t q = 0; q < nn; ++q) {
-          i |= ((j >> perms[k][q]) & 1u) << q;
+          i |= ((j >> dest[q]) & 1u) << q;
         }
         table.inverse[k * slots + j] = static_cast<std::uint8_t>(i);
       }
@@ -93,13 +91,24 @@ PermTable build_perm_table(int n) {
   return table;
 }
 
-/// Built once per register width, on first use.
+template <int N>
+const PermTable& perm_table_of_width() {
+  static const PermTable table = build_perm_table(N);
+  return table;
+}
+
+/// Built once per register width, on first use. Each width is its own
+/// function-local static, so a call costs an inline initialization check
+/// rather than std::call_once's out-of-line guard.
 const PermTable& perm_table(int n) {
-  static std::array<std::once_flag, kMaxScanQubits + 1> once;
-  static std::array<PermTable, kMaxScanQubits + 1> tables;
-  const auto i = static_cast<std::size_t>(n);
-  std::call_once(once[i], [&] { tables[i] = build_perm_table(n); });
-  return tables[i];
+  static_assert(kMaxScanQubits == 8);
+  static constexpr std::array<const PermTable& (*)(), kMaxScanQubits + 1>
+      kByWidth = {&perm_table_of_width<0>, &perm_table_of_width<1>,
+                  &perm_table_of_width<2>, &perm_table_of_width<3>,
+                  &perm_table_of_width<4>, &perm_table_of_width<5>,
+                  &perm_table_of_width<6>, &perm_table_of_width<7>,
+                  &perm_table_of_width<8>};
+  return kByWidth[static_cast<std::size_t>(n)]();
 }
 
 /// Inverse maps j -> inv_p(j) for the three scan shapes. select(k) picks

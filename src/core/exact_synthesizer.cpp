@@ -73,6 +73,7 @@ SynthesisResult ExactSynthesizer::synthesize(const SlotState& target) const {
   fallback.stats.nodes_generated += result.stats.nodes_generated;
   fallback.stats.classes_stored += result.stats.classes_stored;
   fallback.stats.stale_pops += result.stats.stale_pops;
+  fallback.stats.transposition_hits += result.stats.transposition_hits;
   fallback.stats.arena_blocks += result.stats.arena_blocks;
   fallback.stats.arena_bytes_peak = std::max(fallback.stats.arena_bytes_peak,
                                              result.stats.arena_bytes_peak);

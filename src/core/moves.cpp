@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 #include "circuit/cost_model.hpp"
@@ -48,37 +47,106 @@ double rotation_angle(std::uint64_t j, std::uint64_t k, std::uint64_t j2,
   return 2.0 * (alpha2 - alpha);
 }
 
-/// Rest-index -> (count at t=0, count at t=1) over satisfying entries.
-using GroupMap = std::map<BasisIndex, std::pair<std::uint64_t, std::uint64_t>>;
+/// The entries of one rest-index r of a target t: the slot counts at
+/// r (t = 0) and r | 2^t (t = 1).
+struct RestGroup {
+  BasisIndex rest = 0;
+  std::uint64_t j = 0;
+  std::uint64_t k = 0;
+};
 
-void enumerate_rotations_for(const SlotState& state, int target,
+/// Buffers reused by every (target, control subset) of one
+/// enumerate_moves call, so rotation enumeration allocates nothing per
+/// subset.
+struct RotationScratch {
+  /// The current target's rest-groups, ascending by rest.
+  std::vector<RestGroup> groups;
+  /// One row per group, (control pattern << 32 | group position): sorted,
+  /// the rows visit patterns in ascending order and, within a pattern,
+  /// groups by ascending rest.
+  std::vector<std::uint64_t> rows;
+  std::vector<double> candidates;
+  std::vector<ControlLiteral> literals;
+};
+
+/// Bucket the entries by rest-index for target bit `tbit`: sorted by rest,
+/// then the (at most two) rows of each rest merged in place.
+void build_rest_groups(const std::vector<SlotEntry>& entries, BasisIndex tbit,
+                       std::vector<RestGroup>& groups) {
+  groups.clear();
+  for (const SlotEntry& e : entries) {
+    const bool high = (e.index & tbit) != 0;
+    groups.push_back(RestGroup{e.index & ~tbit, high ? 0u : e.count,
+                               high ? e.count : 0u});
+  }
+  std::sort(groups.begin(), groups.end(),
+            [](const RestGroup& a, const RestGroup& b) {
+              return a.rest < b.rest;
+            });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (kept > 0 && groups[kept - 1].rest == groups[i].rest) {
+      groups[kept - 1].j += groups[i].j;
+      groups[kept - 1].k += groups[i].k;
+    } else {
+      groups[kept++] = groups[i];
+    }
+  }
+  groups.resize(kept);
+}
+
+void enumerate_rotations_for(std::uint64_t m, int target,
                              const std::vector<int>& subset,
                              const MoveGenOptions& options,
+                             RotationScratch& scratch,
                              std::vector<Move>& out) {
   const int num_controls = static_cast<int>(subset.size());
   if (num_controls == 0 && !options.include_zero_cost) return;
-  const std::uint64_t m = state.total();
-  const BasisIndex tbit = BasisIndex{1} << target;
+  const std::vector<RestGroup>& groups = scratch.groups;
 
-  // Bucket entries by control pattern, then by rest-index.
-  std::map<std::uint32_t, GroupMap> by_pattern;
-  std::map<std::uint32_t, std::uint64_t> satisfied_weight;
-  for (const SlotEntry& e : state.entries()) {
-    std::uint32_t pattern = 0;
+  // Bucket the rest-groups by control pattern. Controls exclude the
+  // target, so a group's pattern is read off its rest-index.
+  std::vector<std::uint64_t>& rows = scratch.rows;
+  rows.clear();
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::uint64_t pattern = 0;
     for (int b = 0; b < num_controls; ++b) {
-      if (get_bit(e.index, subset[static_cast<std::size_t>(b)]) != 0) {
-        pattern |= std::uint32_t{1} << b;
+      if (get_bit(groups[g].rest, subset[static_cast<std::size_t>(b)]) != 0) {
+        pattern |= std::uint64_t{1} << b;
       }
     }
-    auto& [j, k] = by_pattern[pattern][e.index & ~tbit];
-    ((e.index & tbit) == 0 ? j : k) += e.count;
-    satisfied_weight[pattern] += e.count;
+    rows.push_back(pattern << 32 | g);
+  }
+  std::sort(rows.begin(), rows.end());
+
+  // Every arc of this subset shares one cost: the routed cost reads only
+  // the control qubits, not their polarities.
+  std::int64_t cost = rotation_cost(num_controls);
+  if (options.coupling != nullptr) {
+    scratch.literals.clear();
+    for (const int q : subset) {
+      scratch.literals.push_back(ControlLiteral{q, true});
+    }
+    cost = options.coupling->routed_rotation_cost(scratch.literals, target);
   }
 
-  for (const auto& [pattern, groups] : by_pattern) {
+  std::vector<double>& candidates = scratch.candidates;
+  const auto group_at = [&](std::size_t row) -> const RestGroup& {
+    return groups[static_cast<std::size_t>(rows[row] & 0xffffffffu)];
+  };
+  // Rows [first, end) share one control pattern.
+  for (std::size_t first = 0, end = 0; first < rows.size(); first = end) {
+    const std::uint64_t pattern = rows[first] >> 32;
+    end = first + 1;
+    while (end < rows.size() && (rows[end] >> 32) == pattern) ++end;
+
     // A pattern matching every slot is realizable with fewer controls; the
     // smaller subset enumerates that arc.
-    if (num_controls > 0 && satisfied_weight[pattern] == m) continue;
+    std::uint64_t satisfied_weight = 0;
+    for (std::size_t r = first; r < end; ++r) {
+      satisfied_weight += group_at(r).j + group_at(r).k;
+    }
+    if (num_controls > 0 && satisfied_weight == m) continue;
 
     // Candidate angles come from the lightest group: any valid rotation
     // must map it onto integer counts, so when its weight is within the
@@ -87,20 +155,17 @@ void enumerate_rotations_for(const SlotState& state, int target,
     // merge angles of the other groups), which suffice to reach the ground
     // class; such searches lose the optimality certificate only if the cap
     // is actually hit (reported by the solver via the cap option).
-    auto lightest = groups.begin();
-    for (auto it = groups.begin(); it != groups.end(); ++it) {
-      if (it->second.first + it->second.second <
-          lightest->second.first + lightest->second.second) {
-        lightest = it;
-      }
+    const RestGroup* lightest = &group_at(first);
+    for (std::size_t r = first + 1; r < end; ++r) {
+      const RestGroup& g = group_at(r);
+      if (g.j + g.k < lightest->j + lightest->k) lightest = &g;
     }
-    const std::uint64_t j0 = lightest->second.first;
-    const std::uint64_t k0 = lightest->second.second;
+    const std::uint64_t j0 = lightest->j;
+    const std::uint64_t k0 = lightest->k;
     const std::uint64_t total = j0 + k0;
 
-    std::vector<double> candidates;
+    candidates.clear();
     if (total <= options.full_candidate_cap) {
-      candidates.reserve(static_cast<std::size_t>(total) + 1);
       for (std::uint64_t j2 = 0; j2 <= total; ++j2) {
         const std::uint64_t k2 = total - j2;
         if (j2 == j0 && k2 == k0) continue;
@@ -111,12 +176,13 @@ void enumerate_rotations_for(const SlotState& state, int target,
       candidates.push_back(rotation_angle(j0, k0, 0, total));  // merge up
       candidates.push_back(rotation_angle(j0, k0, k0, j0));    // mirror
       int extra = 0;
-      for (const auto& [rest, jk] : groups) {
+      for (std::size_t r = first; r < end; ++r) {
         if (extra >= 8) break;
-        if (jk.first == j0 && jk.second == k0) continue;
-        const std::uint64_t s = jk.first + jk.second;
-        candidates.push_back(rotation_angle(jk.first, jk.second, s, 0));
-        candidates.push_back(rotation_angle(jk.first, jk.second, 0, s));
+        const RestGroup& g = group_at(r);
+        if (g.j == j0 && g.k == k0) continue;
+        const std::uint64_t s = g.j + g.k;
+        candidates.push_back(rotation_angle(g.j, g.k, s, 0));
+        candidates.push_back(rotation_angle(g.j, g.k, 0, s));
         ++extra;
       }
     }
@@ -129,12 +195,9 @@ void enumerate_rotations_for(const SlotState& state, int target,
       const double co = std::cos(theta / 2);
       const double si = std::sin(theta / 2);
       bool ok = true;
-      for (const auto& [rest, jk] : groups) {
+      for (std::size_t r = first; r < end && ok; ++r) {
         std::uint64_t jj = 0, kk = 0;
-        if (!rotate_counts(jk.first, jk.second, co, si, &jj, &kk)) {
-          ok = false;
-          break;
-        }
+        ok = rotate_counts(group_at(r).j, group_at(r).k, co, si, &jj, &kk);
       }
       if (!ok) continue;
 
@@ -148,26 +211,23 @@ void enumerate_rotations_for(const SlotState& state, int target,
             ControlLiteral{subset[static_cast<std::size_t>(b)],
                            ((pattern >> b) & 1u) != 0});
       }
-      mv.cost = options.coupling != nullptr
-                    ? options.coupling->routed_rotation_cost(mv.controls,
-                                                             target)
-                    : rotation_cost(num_controls);
+      mv.cost = cost;
       out.push_back(std::move(mv));
     }
   }
 }
 
 void enumerate_subsets(int num_qubits, int target, int max_controls,
-                       std::vector<int>& current, int next,
-                       const SlotState& state, const MoveGenOptions& options,
+                       std::vector<int>& current, int next, std::uint64_t m,
+                       const MoveGenOptions& options, RotationScratch& scratch,
                        std::vector<Move>& out) {
-  enumerate_rotations_for(state, target, current, options, out);
+  enumerate_rotations_for(m, target, current, options, scratch, out);
   if (static_cast<int>(current.size()) >= max_controls) return;
   for (int q = next; q < num_qubits; ++q) {
     if (q == target) continue;
     current.push_back(q);
-    enumerate_subsets(num_qubits, target, max_controls, current, q + 1,
-                      state, options, out);
+    enumerate_subsets(num_qubits, target, max_controls, current, q + 1, m,
+                      options, scratch, out);
     current.pop_back();
   }
 }
@@ -199,7 +259,22 @@ std::vector<Move> enumerate_moves(const SlotState& state,
   const int max_controls =
       options.max_controls < 0 ? n - 1 : options.max_controls;
   std::vector<Move> out;
+  // CNOT arcs alone number up to 2n(n - 1); rotation arcs typically add
+  // as many again.
+  out.reserve(static_cast<std::size_t>(8 * n * n));
 
+  // A CNOT control literal is an identity unless some entry satisfies it:
+  // bit c is 1 somewhere iff it is set in the OR of all indices, and 0
+  // somewhere iff it is clear in their AND.
+  BasisIndex any_one = 0;
+  BasisIndex all_one = ~BasisIndex{0};
+  for (const SlotEntry& e : state.entries()) {
+    any_one |= e.index;
+    all_one &= e.index;
+  }
+
+  RotationScratch scratch;
+  std::vector<int> subset;
   for (int t = 0; t < n; ++t) {
     if (options.include_zero_cost) {
       Move mv;
@@ -211,15 +286,9 @@ std::vector<Move> enumerate_moves(const SlotState& state,
     for (int c = 0; c < n; ++c) {
       if (c == t) continue;
       for (const bool positive : {true, false}) {
-        // Skip identities: no entry satisfies the control.
-        bool any = false;
-        for (const SlotEntry& e : state.entries()) {
-          if (get_bit(e.index, c) == (positive ? 1 : 0)) {
-            any = true;
-            break;
-          }
+        if (positive ? get_bit(any_one, c) == 0 : get_bit(all_one, c) != 0) {
+          continue;
         }
-        if (!any) continue;
         Move mv;
         mv.kind = MoveKind::kCNOT;
         mv.target = t;
@@ -231,8 +300,9 @@ std::vector<Move> enumerate_moves(const SlotState& state,
         out.push_back(mv);
       }
     }
-    std::vector<int> subset;
-    enumerate_subsets(n, t, max_controls, subset, 0, state, options, out);
+    build_rest_groups(state.entries(), BasisIndex{1} << t, scratch.groups);
+    enumerate_subsets(n, t, max_controls, subset, 0, state.total(), options,
+                      scratch, out);
   }
   return out;
 }
@@ -248,31 +318,48 @@ SlotState apply_move(const SlotState& state, const Move& move) {
       break;
   }
 
+  for (const ControlLiteral& c : move.controls) {
+    QSP_ASSERT_MSG(c.qubit != move.target, "apply_move: control on target");
+  }
   const BasisIndex tbit = BasisIndex{1} << move.target;
   const double co = std::cos(move.theta / 2);
   const double si = std::sin(move.theta / 2);
-
-  std::vector<SlotEntry> next;
-  next.reserve(state.entries().size() + 4);
-  GroupMap groups;
-  for (const SlotEntry& e : state.entries()) {
-    bool satisfied = true;
+  const std::vector<SlotEntry>& entries = state.entries();
+  const auto satisfies = [&move](BasisIndex index) {
     for (const ControlLiteral& c : move.controls) {
-      if (get_bit(e.index, c.qubit) != (c.positive ? 1 : 0)) {
-        satisfied = false;
-        break;
-      }
+      if (get_bit(index, c.qubit) != (c.positive ? 1 : 0)) return false;
     }
-    if (!satisfied) {
+    return true;
+  };
+  const auto count_at = [&entries](BasisIndex index) -> std::uint64_t {
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), index,
+        [](const SlotEntry& e, BasisIndex i) { return e.index < i; });
+    return it != entries.end() && it->index == index ? it->count : 0;
+  };
+
+  // Each satisfied rest-group {r, r | tbit} is rotated once, when the scan
+  // reaches its first entry. The controls exclude the target, so both
+  // members of a group satisfy them alike. The constructor sorts `next`.
+  std::vector<SlotEntry> next;
+  next.reserve(entries.size() + 4);
+  for (const SlotEntry& e : entries) {
+    if (!satisfies(e.index)) {
       next.push_back(e);
       continue;
     }
-    auto& [j, k] = groups[e.index & ~tbit];
-    ((e.index & tbit) == 0 ? j : k) += e.count;
-  }
-  for (const auto& [rest, jk] : groups) {
+    const BasisIndex rest = e.index & ~tbit;
+    std::uint64_t j = e.count;
+    std::uint64_t k = 0;
+    if ((e.index & tbit) == 0) {
+      k = count_at(e.index | tbit);
+    } else if (count_at(rest) != 0) {
+      continue;  // rotated with its t = 0 member
+    } else {
+      std::swap(j, k);
+    }
     std::uint64_t jj = 0, kk = 0;
-    const bool ok = rotate_counts(jk.first, jk.second, co, si, &jj, &kk);
+    const bool ok = rotate_counts(j, k, co, si, &jj, &kk);
     QSP_ASSERT_MSG(ok, "apply_move: invalid rotation arc");
     if (jj > 0) next.push_back(SlotEntry{rest, static_cast<std::uint32_t>(jj)});
     if (kk > 0) {

@@ -363,8 +363,9 @@ class OpenQueue {
 /// in one place. Entries with f >= `bound` (the caller's cost bound,
 /// kNoCostBound for none) are recorded but never queued: with an
 /// admissible h they cannot lead to a goal cheaper than the bound.
+/// Returns the class's arena id.
 template <class HOf>
-void relax_into_open(ClassedArena& arena, OpenQueue& open,
+std::int64_t relax_into_open(ClassedArena& arena, OpenQueue& open,
                      CanonicalKey&& key, SlotState&& child, std::int64_t g2,
                      std::int64_t parent, const Move& via, HOf&& h_of,
                      std::int64_t bound) {
@@ -374,6 +375,7 @@ void relax_into_open(ClassedArena& arena, OpenQueue& open,
     const std::int64_t h = arena.node(relaxed.id).h;
     if (g2 + h < bound) open.push(g2 + h, h, relaxed.id, g2);
   }
+  return relaxed.id;
 }
 
 /// Reconstruct the preparation circuit from a goal node: the forward arc

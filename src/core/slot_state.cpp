@@ -18,19 +18,24 @@ SlotState::SlotState(int num_qubits, std::vector<SlotEntry> entries)
             [](const SlotEntry& a, const SlotEntry& b) {
               return a.index < b.index;
             });
-  entries_.reserve(entries.size());
-  for (const SlotEntry& e : entries) {
+  // Merge duplicates and drop zero counts in place: the kept prefix never
+  // overtakes the read position, and the buffer becomes entries_.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const SlotEntry e = entries[i];
     if ((e.index >> num_qubits_) != 0) {
       throw std::invalid_argument("SlotState: index exceeds register");
     }
     if (e.count == 0) continue;
-    if (!entries_.empty() && entries_.back().index == e.index) {
-      entries_.back().count += e.count;
+    if (kept > 0 && entries[kept - 1].index == e.index) {
+      entries[kept - 1].count += e.count;
     } else {
-      entries_.push_back(e);
+      entries[kept++] = e;
     }
     total_ += e.count;
   }
+  entries.resize(kept);
+  entries_ = std::move(entries);
   if (entries_.empty()) {
     throw std::invalid_argument("SlotState: no slots");
   }

@@ -10,7 +10,9 @@
 #include "arch/coupling.hpp"
 #include "circuit/lowering.hpp"
 #include "core/search_core.hpp"
+#include "flow/solver.hpp"
 #include "pass_test_util.hpp"
+#include "prep/nflow.hpp"
 #include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"
@@ -398,6 +400,83 @@ TEST(ParallelAStar, ThrowsOnNonSlotState) {
   options.num_threads = 2;
   const AStarSynthesizer synth(options);
   EXPECT_THROW(synth.synthesize(signed_state), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The per-shard transposition table over raw child states. A hit skips
+// canonicalization and drops the child only where relax would be a no-op,
+// so one shard must reproduce the search the library ran before the table
+// existed, field for field, even once the table overflows and is cleared.
+// ---------------------------------------------------------------------------
+
+/// The Dicke(5,2) 4-qubit marginal (ten slots on ten indices), a dense
+/// tail the workflow hands the exact search, under the workflow's A*
+/// options with the clock off.
+QuantumState dicke_five_two_marginal() {
+  return nflow_marginal(make_dicke(5, 2), 4);
+}
+
+SearchOptions workflow_astar_options(int num_threads) {
+  SearchOptions options = WorkflowOptions{}.exact.astar;
+  options.time_budget_seconds = 0.0;
+  options.num_threads = num_threads;
+  return options;
+}
+
+TEST(TranspositionTable, SearchOutgrowingTheTableIsUnchanged) {
+  // Certifying the marginal stores 9,516 classes and generates 181,516
+  // children; more than kTranspositionTableEntries of them are raw states
+  // new to the table, so it is cleared mid-search. One shard's fields were
+  // recorded from the library before the table existed.
+  const QuantumState target = dicke_five_two_marginal();
+  for (const int threads : {1, 2, 4}) {
+    SearchOptions options = workflow_astar_options(threads);
+    options.class_budget = 0;
+    const SynthesisResult res = AStarSynthesizer(options).synthesize(target);
+    const std::string ctx = "threads=" + std::to_string(threads);
+    ASSERT_TRUE(res.found) << ctx;
+    EXPECT_EQ(res.cnot_cost, 12) << ctx;
+    EXPECT_TRUE(res.optimal) << ctx;
+    verify_preparation_or_throw(res.circuit, target);
+    EXPECT_GT(res.stats.transposition_hits, 0u) << ctx;
+    if (threads != 1) continue;
+    EXPECT_EQ(test::gate_sequence_checksum(res.circuit),
+              0x059c9d8c091c0ff9ull);
+    EXPECT_EQ(res.stats.nodes_generated, 181516u);
+    EXPECT_EQ(res.stats.nodes_expanded, 1409u);
+    EXPECT_EQ(res.stats.classes_stored, 9516u);
+    EXPECT_EQ(res.stats.sum_shard_peak_open_size, 15796u);
+    // Every generated child is a hit or a new raw state, and each new one
+    // is recorded: more of those than the table holds means it overflowed.
+    EXPECT_GT(res.stats.nodes_generated - res.stats.transposition_hits,
+              kTranspositionTableEntries);
+  }
+}
+
+TEST(TranspositionTable, WorkflowClassBudgetStopsAtThePinnedPoint) {
+  // The workflow's 4096-class budget stops the search before it finds a
+  // goal; one shard stops where the library stopped before the table,
+  // after recording more new raw states than the table holds.
+  const QuantumState target = dicke_five_two_marginal();
+  for (const int threads : {1, 2, 4}) {
+    const SynthesisResult res =
+        AStarSynthesizer(workflow_astar_options(threads)).synthesize(target);
+    const std::string ctx = "threads=" + std::to_string(threads);
+    EXPECT_FALSE(res.found) << ctx;
+    EXPECT_FALSE(res.optimal) << ctx;
+    EXPECT_TRUE(res.stats.budget_exhausted) << ctx;
+    EXPECT_GE(res.stats.classes_stored, 4096u) << ctx;
+    EXPECT_GT(res.stats.transposition_hits, 0u) << ctx;
+    if (threads != 1) continue;
+    EXPECT_EQ(test::gate_sequence_checksum(res.circuit),
+              0x44bd2bd473ccf799ull);
+    EXPECT_EQ(res.stats.nodes_generated, 28512u);
+    EXPECT_EQ(res.stats.nodes_expanded, 241u);
+    EXPECT_EQ(res.stats.classes_stored, 4096u);
+    EXPECT_EQ(res.stats.sum_shard_peak_open_size, 6171u);
+    EXPECT_GT(res.stats.nodes_generated - res.stats.transposition_hits,
+              kTranspositionTableEntries);
+  }
 }
 
 }  // namespace
